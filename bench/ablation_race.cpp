@@ -1,4 +1,5 @@
-// Ablation A3 (DESIGN.md D1): what the benign-race design buys.
+// Ablation A3: what the benign-race design (relaxed loads and stores, no
+// atomic RMW on the push path) buys.
 //
 // Part 1 — memory primitive: throughput of relaxed vs sequentially-
 // consistent stores/loads in a kernel-shaped loop.  Relaxed compiles to

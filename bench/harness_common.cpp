@@ -483,10 +483,10 @@ void print_header(const std::string& title, const SuiteOptions& opt,
             << " hardware threads; backend = "
             << (opt.backend == device::Backend::kHost
                     ? "host multicore executor (measured wall time)"
-                    : "CPU-simulated bulk-synchronous engine (see DESIGN.md)")
+                    : "CPU-simulated bulk-synchronous engine")
             << '\n'
             << "# note: GPU algorithms report modeled C2050 device time by"
-               " default (DESIGN.md D9); pass --no-model for raw simulator"
+               " default; pass --no-model for raw simulator"
                " wall time.  CPU algorithms always report wall time.\n";
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "device/device.hpp"
 #include "device/mem.hpp"
@@ -46,6 +47,72 @@ struct DeviceState {
 struct GrResult {
   index_t max_level = 0;     ///< cLevel after the BFS drained (Alg 4 line 8)
   std::int64_t level_kernels = 0;  ///< number of G-GR-KRNL launches
+  /// Rows the host backend's level queues held over the whole BFS.  The
+  /// queues are duplicate-free, so this is the number of rows the BFS
+  /// reached (never more than n).  0 on the sim, whose levels scan all rows.
+  std::int64_t queued_rows = 0;
+};
+
+/// The µ arrays one relabel BFS reads and the ψ arrays it writes: the live
+/// `DeviceState` for `g_gr`, the snapshot and shadow arrays for
+/// `AsyncGlobalRelabel`.
+struct RelabelArrays {
+  device::relaxed_vector<index_t>& mu_row;
+  device::relaxed_vector<index_t>& mu_col;
+  device::relaxed_vector<index_t>& psi_row;
+  device::relaxed_vector<index_t>& psi_col;
+};
+
+/// The level-synchronous BFS of one global relabel — the state behind both
+/// `g_gr` and `AsyncGlobalRelabel`, so the G-GR-KRNL body exists once.
+///
+/// The grid is picked by backend.  The sim keeps the paper's Alg. 5 grid:
+/// every level launches one thread per row and only rows at ψ = cLevel
+/// expand, so modeled C2050 time and launch counts are the paper's.  The
+/// host backend keeps a level queue instead: INITRELABEL collects the
+/// unmatched rows, each level expands only the queued rows, and the rows
+/// it labels form the next queue.  A relabel then costs O(m) rather than
+/// O(n × levels).  Both grids label exactly the same vertices and issue
+/// the same number of launches.
+///
+/// A column is claimed with `psi_col.store_min(v, cLevel+1)`: only the
+/// thread that observes ψ(v) = m+n owns v, and only the owner labels and
+/// enqueues µ(v).  Every row is thus enqueued at most once.  A host level
+/// that runs as a single chunk claims with a plain store: no other thread
+/// can race it.
+class LevelBfs {
+ public:
+  /// INITRELABEL.  With `snapshot` set, the same row and column passes
+  /// first copy its µ into `a`'s µ arrays.
+  void start(device::Device& dev, const BipartiteGraph& g,
+             const RelabelArrays& a, const DeviceState* snapshot = nullptr);
+
+  /// One G-GR-KRNL launch for level cLevel, then cLevel += 2.  Returns
+  /// true when it labelled no row, i.e. the BFS has drained.
+  bool step(device::Device& dev, const BipartiteGraph& g,
+            const RelabelArrays& a);
+
+  /// cLevel: the next level to expand (maxLevel once drained).
+  [[nodiscard]] index_t level() const { return c_level_; }
+  /// Total rows queued so far (host backend; see `GrResult::queued_rows`).
+  [[nodiscard]] std::int64_t queued_rows() const { return queued_rows_; }
+
+ private:
+  /// Makes the per-worker buffers the next queue: swaps when at most one
+  /// holds rows, concatenates otherwise.
+  void gather();
+
+  /// One launch_chunked slot's share of the next level, padded to a cache
+  /// line: workers push_back concurrently, and adjacent vector headers
+  /// would otherwise share a line.
+  struct alignas(64) SlotRows {
+    std::vector<index_t> rows;
+  };
+
+  std::vector<index_t> queue_;
+  std::vector<SlotRows> next_;  ///< one per launch_chunked slot
+  index_t c_level_ = 0;
+  std::int64_t queued_rows_ = 0;
 };
 
 /// G-GR (Algorithms 4–5): GPU global relabeling.
@@ -54,8 +121,8 @@ struct GrResult {
 /// else; then a level-synchronous BFS from all unmatched rows runs one
 /// G-GR-KRNL launch per level: every row u with ψ(u) = cLevel relaxes its
 /// unvisited column neighbors to cLevel+1 and their *consistently* matched
-/// rows (µ(v) > −1 and µ(µ(v)) = v) to cLevel+2.  Concurrent writes to the
-/// same ψ cell all carry the same value — the benign race the paper notes.
+/// rows (µ(v) > −1 and µ(µ(v)) = v) to cLevel+2.  `LevelBfs` documents the
+/// per-backend grid and the column claim.
 ///
 /// Vertices the BFS never reaches keep ψ = m+n and drop out of further
 /// consideration (this is also where the gap heuristic's effect shows up
@@ -107,14 +174,18 @@ class AsyncGlobalRelabel {
   void apply(device::Device& dev, const BipartiteGraph& g, DeviceState& st);
 
   /// maxLevel of the finished BFS (valid after `step` returned true).
-  [[nodiscard]] index_t max_level() const { return c_level_; }
+  [[nodiscard]] index_t max_level() const { return bfs_.level(); }
 
  private:
+  [[nodiscard]] RelabelArrays arrays() {
+    return {mu_row_snap_, mu_col_snap_, psi_row_shadow_, psi_col_shadow_};
+  }
+
   device::relaxed_vector<index_t> mu_row_snap_;
   device::relaxed_vector<index_t> mu_col_snap_;
   device::relaxed_vector<index_t> psi_row_shadow_;
   device::relaxed_vector<index_t> psi_col_shadow_;
-  index_t c_level_ = 0;
+  LevelBfs bfs_;
   bool running_ = false;
 };
 

@@ -191,8 +191,8 @@ void run_active_list(device::Device& dev, const BipartiteGraph& g,
         const MinScan r = scan_min_row(g, st, v, psi_v, psi_inf);
         std::int64_t work = r.scanned;
         if (r.psi_min < psi_inf) {
-          // Capture the displaced column *before* overwriting µ(u)
-          // (DESIGN.md D4); w == −1 encodes a single push.
+          // Capture the displaced column *before* overwriting µ(u), or the
+          // double push loses track of it; w == −1 encodes a single push.
           const index_t w = st.mu_row.load(static_cast<std::size_t>(r.u_min));
           ++work;  // µ(u) gather
           if (w == kUnmatched ||

@@ -28,10 +28,11 @@ namespace bpm::gpu::detail {
 using matching::kUnmatchable;
 using matching::kUnmatched;
 
-/// The matching invariant's activity test (DESIGN.md D3): a column is
-/// active iff it is unmatched or its match was stolen.  Only evaluated by
-/// the thread owning v (within kernels) or between launches, so its two
-/// loads cannot race with this thread's own writes.
+/// The matching invariant's activity test (rows are authoritative for µ,
+/// column entries may be stale): a column is active iff it is unmatched
+/// or its match was stolen.  Only evaluated by the thread owning v
+/// (within kernels) or between launches, so its two loads cannot race
+/// with this thread's own writes.
 inline bool is_active_column(const DeviceState& st, index_t v) {
   const index_t mu_v = st.mu_col.load(static_cast<std::size_t>(v));
   if (mu_v == kUnmatched) return true;
@@ -120,7 +121,8 @@ inline std::int64_t loop_bound(const BipartiteGraph& g,
 
 [[noreturn]] inline void loop_bound_exceeded() {
   throw std::runtime_error(
-      "g_pr: loop bound exceeded — termination regression (see DESIGN.md D8)");
+      "g_pr: loop bound exceeded — termination regression (a correct run "
+      "finishes far inside the bound)");
 }
 
 /// Schedules global relabels for both drivers: synchronous G-GR calls, or
@@ -265,8 +267,8 @@ inline std::int64_t apply_push(DeviceState& st,
                                index_t* pushed_row_slot) {
   std::int64_t work = 0;
   if (r.psi_min < psi_inf) {
-    // Capture the displaced column *before* overwriting µ(u)
-    // (DESIGN.md D4); w == −1 encodes a single push.
+    // Capture the displaced column *before* overwriting µ(u), or the
+    // double push loses track of it; w == −1 encodes a single push.
     const index_t w = st.mu_row.load(static_cast<std::size_t>(r.u_min));
     ++work;  // µ(u) gather
     if (w == kUnmatched ||

@@ -17,8 +17,11 @@ std::int64_t next_global_relabel_loop(const GprOptions& options,
       interval = options.k * static_cast<double>(max_level);
       break;
   }
-  return loop + std::max<std::int64_t>(
-                    1, static_cast<std::int64_t>(std::llround(interval)));
+  // Clamped before the conversion, so a huge k means "rarely" rather than
+  // an out-of-range llround.
+  constexpr double kMaxInterval = 1e15;
+  return loop + static_cast<std::int64_t>(
+                    std::llround(std::clamp(interval, 1.0, kMaxInterval)));
 }
 
 }  // namespace bpm::gpu

@@ -465,8 +465,8 @@ class ShardedRun {
     ++stats_.shard_rounds;
     if (round_ > max_rounds_) {
       fail(
-          "g_pr: loop bound exceeded — termination regression (see "
-          "DESIGN.md D8)");
+          "g_pr: loop bound exceeded — termination regression (a correct "
+          "run finishes far inside the bound)");
       return;
     }
     // Every driver is blocked at the barrier while this runs, so the span

@@ -1,6 +1,10 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -30,14 +34,32 @@ bool parse_bool(std::string_view key, std::string_view value) {
                               "'");
 }
 
+/// A finite number spelled by the whole token (`std::from_chars`, as the
+/// serving protocol decodes): rejects nan/inf, trailing junk and empty
+/// values.
 double parse_double(std::string_view key, std::string_view value) {
-  try {
-    return std::stod(std::string(value));
-  } catch (const std::exception&) {
+  double out = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc{} || ptr != end || !std::isfinite(out))
     throw std::invalid_argument("option '" + std::string(key) +
                                 "' wants a number, got '" +
                                 std::string(value) + "'");
-  }
+  return out;
+}
+
+/// A whole-number option in [lo, hi], parsed as an integer token and
+/// range-checked before the caller narrows it; nullopt when malformed or
+/// out of range.
+std::optional<std::int64_t> parse_int(std::string_view value, std::int64_t lo,
+                                      std::int64_t hi) {
+  std::int64_t out = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc{} || ptr != end || out < lo ||
+      out > hi)
+    return std::nullopt;
+  return out;
 }
 
 device::Device& required_device(const SolveContext& ctx,
@@ -83,8 +105,13 @@ class GprSolver final : public Solver {
       else
         throw std::invalid_argument("option 'strategy' wants adaptive|fix");
     } else if (key == "shrink-threshold") {
-      options_.shrink_threshold =
-          static_cast<graph::index_t>(parse_double(key, value));
+      const auto t = parse_int(
+          value, 0, std::numeric_limits<graph::index_t>::max());
+      if (!t)
+        throw std::invalid_argument(
+            "option 'shrink-threshold' wants an integer N>=0, got '" +
+            std::string(value) + "'");
+      options_.shrink_threshold = static_cast<graph::index_t>(*t);
     } else if (key == "initial-gr") {
       options_.initial_global_relabel = parse_bool(key, value);
     } else if (key == "concurrent-gr") {
@@ -100,9 +127,9 @@ class GprSolver final : public Solver {
     } else if (key == "shards") {
       if (value == "auto")
         options_.shards = 0;
-      else if (const int k = static_cast<int>(parse_double(key, value));
-               k >= 1)
-        options_.shards = k;
+      else if (const auto k =
+                   parse_int(value, 1, std::numeric_limits<int>::max()))
+        options_.shards = static_cast<int>(*k);
       else
         throw std::invalid_argument("option 'shards' wants K>=1 or auto");
     } else if (key == "shard-drivers") {
@@ -120,10 +147,9 @@ class GprSolver final : public Solver {
         options_.split_grain = 0;
       else if (value == "off")
         options_.split_grain = -1;
-      else if (const auto grain =
-                   static_cast<std::int64_t>(parse_double(key, value));
-               grain > 0)
-        options_.split_grain = grain;
+      else if (const auto grain = parse_int(
+                   value, 1, std::numeric_limits<std::int64_t>::max()))
+        options_.split_grain = *grain;
       else
         throw std::invalid_argument("option 'split' wants N>0, auto, or off");
     } else {

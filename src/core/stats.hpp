@@ -46,7 +46,7 @@ struct GprStats {
   double push_ms = 0.0;   ///< time in INIT/PUSH/SHR kernels
   double fix_ms = 0.0;    ///< FIXMATCHING + host transfers
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< device::DeviceModel time (DESIGN.md D9)
+  double modeled_ms = 0.0;  ///< device::DeviceModel time (C2050 model)
 };
 
 /// Counters of one G-HK / G-HKDW run.
@@ -58,7 +58,7 @@ struct GhkStats {
   std::int64_t sequential_fallbacks = 0;  ///< host augmentations forced by
                                           ///< total claim-validation failure
   double total_ms = 0.0;
-  double modeled_ms = 0.0;  ///< device::DeviceModel time (DESIGN.md D9)
+  double modeled_ms = 0.0;  ///< device::DeviceModel time (C2050 model)
 };
 
 }  // namespace bpm::gpu

@@ -54,7 +54,8 @@ enum class Backend {
 [[nodiscard]] Backend default_backend();
 
 /// Analytic timing model of a target GPU, used to report *modeled device
-/// time* next to host wall time (DESIGN.md D9).  A kernel over n logical
+/// time* next to host wall time, so simulated runs can be compared with the
+/// paper's Tesla C2050 figures.  A kernel over n logical
 /// threads that scans `work` adjacency entries is charged
 ///
 ///   launch_latency_us + (n·ns_per_item + work·ns_per_work) · 1e-3

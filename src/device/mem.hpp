@@ -48,10 +48,12 @@ class relaxed_cell {
   void store(T v) noexcept { value_.store(v, std::memory_order_relaxed); }
 
   /// Atomically lowers the cell to `min(current, v)`; returns the value
-  /// observed before the update (relaxed CAS loop, lock-free).  The one
-  /// RMW in the codebase, and deliberately so: it implements the sharded
-  /// solver's deterministic boundary min-combine — the paper's push path
-  /// itself stays free of RMW instructions.
+  /// observed before the update (relaxed CAS loop, lock-free).  The only
+  /// RMW in the codebase, with two users: the sharded solver's
+  /// deterministic boundary min-combine, and the host global relabel's
+  /// column claim, where the one thread that sees the old value m+n owns
+  /// the column and enqueues its mate exactly once.  The paper's push path
+  /// stays free of RMW instructions.
   T store_min(T v) noexcept {
     T cur = value_.load(std::memory_order_relaxed);
     while (v < cur &&

@@ -9,7 +9,8 @@
 namespace bpm::graph {
 
 /// Structural class of a benchmark instance; determines which generator
-/// produces its synthetic analogue (DESIGN.md §2).
+/// produces its synthetic analogue (the paper's matrices are not
+/// redistributable, so each class gets a structure-matched generator).
 enum class InstanceClass {
   kSocial,     ///< power-law social/co-purchase (Chung–Lu)
   kWeb,        ///< power-law web crawl (Chung–Lu, heavier tail)

@@ -40,8 +40,12 @@ struct PrState {
     gap_threshold = std::numeric_limits<index_t>::max();
   }
 
-  /// Move column v from label `from` to label `to`, detecting gaps.
+  /// Move column v from label `from` to label `to`, detecting gaps.  A
+  /// push that leaves the label unchanged must not touch the counts: when
+  /// v is alone at `from`, the count would pass through 0 and retire every
+  /// column above a label v still holds.
   void move_label(index_t v, index_t from, index_t to, SeqPrStats* stats) {
+    if (from == to) return;
     psi_col[static_cast<std::size_t>(v)] = to;
     if (from < psi_inf) {
       auto& cnt = label_count[static_cast<std::size_t>(from)];
@@ -108,9 +112,12 @@ Matching seq_push_relabel(const BipartiteGraph& g, Matching init,
   PrState st(g, std::move(init));
   const index_t psi_inf = st.psi_inf;
 
-  const auto gr_interval = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(options.global_relabel_k *
-                                   static_cast<double>(psi_inf)));
+  // Clamped before the conversion, so a huge k means "rarely" rather than
+  // an out-of-range cast.
+  constexpr double kMaxInterval = 1e15;
+  const auto gr_interval = static_cast<std::int64_t>(
+      std::clamp(options.global_relabel_k * static_cast<double>(psi_inf), 1.0,
+                 kMaxInterval));
 
   if (options.initial_global_relabel) {
     st.global_relabel();

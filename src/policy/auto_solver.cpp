@@ -171,7 +171,8 @@ bool AutoSolver::set_option(std::string_view key, std::string_view value) {
     char* end = nullptr;
     const std::string v(value);
     explore_ = std::strtod(v.c_str(), &end);
-    if (end != v.c_str() + v.size() || explore_ < 0.0 || explore_ > 1.0)
+    if (v.empty() || end != v.c_str() + v.size() ||
+        !(explore_ >= 0.0 && explore_ <= 1.0))
       throw std::invalid_argument(
           "option 'explore' wants a probability in [0, 1], got '" + v + "'");
   } else {

@@ -96,6 +96,7 @@ Submission MatchingService::submit(Request request) {
     canonical = request.spec.canonical();
   } catch (const std::exception& e) {
     reject = e.what();
+    out.bad_spec = true;
   }
   if (reject.empty() && request.instance >= store_.size())
     reject = "unknown instance handle " + std::to_string(request.instance);

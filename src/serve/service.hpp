@@ -75,6 +75,9 @@ struct Submission {
   bool accepted = false;
   std::uint64_t ticket = 0;
   std::string reason;  ///< why not, when !accepted
+  /// Rejected because the spec itself is malformed (unknown solver,
+  /// unknown option, bad option value), not for load or shutdown.
+  bool bad_spec = false;
   std::shared_future<Response> future;
 };
 

@@ -162,6 +162,10 @@ void Session::handle(const proto::SubmitRequest& r, Outcome& out) {
   const Submission sub = context_.service.submit(std::move(req));
   if (sub.accepted)
     out.lines.push_back("ticket " + std::to_string(sub.ticket));
+  else if (sub.bad_spec)
+    // Unknown solver or option, or a bad option value (`k=nan`): the
+    // request itself is wrong, not the service's load.
+    error(out, ErrorCode::kBadArgument, sub.reason);
   else
     out.lines.push_back("rejected reason=" + proto::quoted(sub.reason));
 }

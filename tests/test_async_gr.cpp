@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/g_gr.hpp"
 #include "core/g_pr.hpp"
 #include "graph/generators.hpp"
@@ -21,34 +23,109 @@ namespace gen = graph::gen;
 
 // ------------------------------------------------- AsyncGlobalRelabel ----
 
-TEST(AsyncGlobalRelabel, StepwiseBfsMatchesSynchronousGGr) {
-  const BipartiteGraph g = gen::random_uniform(60, 60, 200, 3);
-  const matching::Matching m = matching::cheap_matching(g);
-  Device dev({.mode = ExecMode::kSequential});
+/// Stepwise-equals-synchronous runs on the sim's full-row grid and on the
+/// host backend's level queue, fanned out to four workers on every level
+/// (`host_grain = 1`) and on one worker.
+enum class StepDevice { kSim, kHostParallel, kHostOne };
 
+class AsyncStepwise : public ::testing::TestWithParam<StepDevice> {
+ protected:
+  Device make_device() const {
+    switch (GetParam()) {
+      case StepDevice::kSim:
+        return Device({.backend = device::Backend::kSim,
+                       .mode = ExecMode::kSequential});
+      case StepDevice::kHostParallel:
+        return Device(std::make_shared<device::HostParallelEngine>(
+            device::EngineDescriptor{.mode = ExecMode::kConcurrent,
+                                     .threads = 4,
+                                     .host_grain = 1}));
+      case StepDevice::kHostOne:
+        return Device(std::make_shared<device::HostParallelEngine>(1));
+    }
+    return Device();
+  }
+
+  void expect_stepwise_matches_sync(const BipartiteGraph& g,
+                                    const matching::Matching& m) {
+    Device dev = make_device();
+
+    DeviceState sync_st(g.num_rows(), g.num_cols());
+    sync_st.mu_row.assign_from(m.row_match);
+    sync_st.mu_col.assign_from(m.col_match);
+    const GrResult sync = g_gr(dev, g, sync_st);
+
+    DeviceState async_st(g.num_rows(), g.num_cols());
+    async_st.mu_row.assign_from(m.row_match);
+    async_st.mu_col.assign_from(m.col_match);
+    AsyncGlobalRelabel async(g.num_rows(), g.num_cols());
+    async.start(dev, g, async_st);
+    EXPECT_TRUE(async.running());
+    int steps = 0;
+    while (!async.step(dev, g)) ++steps;
+    EXPECT_FALSE(async.running());
+    async.apply(dev, g, async_st);
+
+    // When nothing pushes in between, the shadow relabel must equal the
+    // synchronous one exactly.
+    EXPECT_EQ(async_st.psi_row.to_host(), sync_st.psi_row.to_host());
+    EXPECT_EQ(async_st.psi_col.to_host(), sync_st.psi_col.to_host());
+    EXPECT_EQ(async.max_level(), sync.max_level);
+    EXPECT_EQ(steps + 1, sync.level_kernels);
+  }
+};
+
+TEST_P(AsyncStepwise, StepwiseBfsMatchesSynchronousGGr) {
+  const BipartiteGraph g = gen::random_uniform(60, 60, 200, 3);
+  expect_stepwise_matches_sync(g, matching::cheap_matching(g));
+}
+
+TEST_P(AsyncStepwise, StepwiseDeepBfsMatchesSynchronousGGr) {
+  const BipartiteGraph g = gen::trace_mesh(200, 3, 0.02, 9);
+  expect_stepwise_matches_sync(g, matching::cheap_matching(g));
+  expect_stepwise_matches_sync(g, matching::Matching(g));
+}
+
+TEST_P(AsyncStepwise, RestartsAfterAFinishedRelabel) {
+  // The level queue is a member: a second start() must not see the first
+  // BFS's leftovers.
+  const BipartiteGraph g = gen::chung_lu(200, 200, 3.0, 2.4, 3);
+  const matching::Matching m = matching::cheap_matching(g);
+  Device dev = make_device();
+  DeviceState st(g.num_rows(), g.num_cols());
+  AsyncGlobalRelabel async(g.num_rows(), g.num_cols());
+  async.start(dev, g, st);  // empty matching
+  while (!async.step(dev, g)) {
+  }
+  st.mu_row.assign_from(m.row_match);
+  st.mu_col.assign_from(m.col_match);
+  async.start(dev, g, st);
+  while (!async.step(dev, g)) {
+  }
+  async.apply(dev, g, st);
   DeviceState sync_st(g.num_rows(), g.num_cols());
   sync_st.mu_row.assign_from(m.row_match);
   sync_st.mu_col.assign_from(m.col_match);
-  const GrResult sync = g_gr(dev, g, sync_st);
-
-  DeviceState async_st(g.num_rows(), g.num_cols());
-  async_st.mu_row.assign_from(m.row_match);
-  async_st.mu_col.assign_from(m.col_match);
-  AsyncGlobalRelabel async(g.num_rows(), g.num_cols());
-  async.start(dev, g, async_st);
-  EXPECT_TRUE(async.running());
-  int steps = 0;
-  while (!async.step(dev, g)) ++steps;
-  EXPECT_FALSE(async.running());
-  async.apply(dev, g, async_st);
-
-  // When nothing pushes in between, the shadow relabel must equal the
-  // synchronous one exactly.
-  EXPECT_EQ(async_st.psi_row.to_host(), sync_st.psi_row.to_host());
-  EXPECT_EQ(async_st.psi_col.to_host(), sync_st.psi_col.to_host());
-  EXPECT_EQ(async.max_level(), sync.max_level);
-  EXPECT_EQ(steps + 1, sync.level_kernels);
+  (void)g_gr(dev, g, sync_st);
+  EXPECT_EQ(st.psi_row.to_host(), sync_st.psi_row.to_host());
+  EXPECT_EQ(st.psi_col.to_host(), sync_st.psi_col.to_host());
 }
+
+INSTANTIATE_TEST_SUITE_P(Devices, AsyncStepwise,
+                         ::testing::Values(StepDevice::kSim,
+                                           StepDevice::kHostParallel,
+                                           StepDevice::kHostOne),
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
+                             case StepDevice::kSim:
+                               return "Sim";
+                             case StepDevice::kHostParallel:
+                               return "HostParallel";
+                             case StepDevice::kHostOne:
+                               return "HostOneWorker";
+                           }
+                           return "Unknown";
+                         });
 
 TEST(AsyncGlobalRelabel, SnapshotIsolatesConcurrentMatchingChanges) {
   // Mutating µ after start() must not affect the in-flight BFS.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "core/g_gr.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/instances.hpp"
 #include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 
@@ -53,9 +57,34 @@ void reference_distances(const BipartiteGraph& g, const matching::Matching& m,
   }
 }
 
-class GGrModes : public ::testing::TestWithParam<ExecMode> {
+/// The devices every G-GR test runs on: the sim in both execution modes
+/// (the paper's full-row grid), and the host backend's level queue with
+/// four workers fanned out on every level (`host_grain = 1`, so columns
+/// are claimed concurrently) and with one worker (exclusive claims).
+enum class GrDevice { kSimSequential, kSimConcurrent, kHostParallel, kHostOne };
+
+Device device_for(GrDevice kind) {
+  switch (kind) {
+    case GrDevice::kSimSequential:
+      return Device({.backend = device::Backend::kSim,
+                     .mode = ExecMode::kSequential});
+    case GrDevice::kSimConcurrent:
+      return Device({.backend = device::Backend::kSim,
+                     .mode = ExecMode::kConcurrent,
+                     .num_threads = 4});
+    case GrDevice::kHostParallel:
+      return Device(std::make_shared<device::HostParallelEngine>(
+          device::EngineDescriptor{
+              .mode = ExecMode::kConcurrent, .threads = 4, .host_grain = 1}));
+    case GrDevice::kHostOne:
+      return Device(std::make_shared<device::HostParallelEngine>(1));
+  }
+  return Device();
+}
+
+class GGrModes : public ::testing::TestWithParam<GrDevice> {
  protected:
-  Device make_device() { return Device({.mode = GetParam(), .num_threads = 4}); }
+  Device make_device() { return device_for(GetParam()); }
 
   void expect_exact_distances(const BipartiteGraph& g,
                               const matching::Matching& m) {
@@ -68,9 +97,20 @@ class GGrModes : public ::testing::TestWithParam<ExecMode> {
     EXPECT_EQ(st.psi_col.to_host(), want_col);
     // maxLevel covers the deepest populated level.
     index_t deepest = 0;
-    for (index_t d : want_row)
-      if (d < g.psi_infinity()) deepest = std::max(deepest, d);
+    std::int64_t reached = 0;
+    for (index_t d : want_row) {
+      if (d == g.psi_infinity()) continue;
+      deepest = std::max(deepest, d);
+      ++reached;
+    }
     EXPECT_GE(r.max_level, deepest);
+    if (dev.backend() == device::Backend::kHost) {
+      // Duplicate-free level queues: every reached row queued exactly once.
+      EXPECT_LE(r.queued_rows, g.num_rows());
+      EXPECT_EQ(r.queued_rows, reached);
+    } else {
+      EXPECT_EQ(r.queued_rows, 0);
+    }
   }
 };
 
@@ -141,14 +181,65 @@ TEST_P(GGrModes, LevelKernelCountMatchesDepth) {
   EXPECT_EQ(r.max_level, 2 * r.level_kernels);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, GGrModes,
-                         ::testing::Values(ExecMode::kSequential,
-                                           ExecMode::kConcurrent),
+TEST_P(GGrModes, HighDiameterInstanceAnalogues) {
+  // Delaunay and road analogues run tens to hundreds of BFS levels, which
+  // is where the host's level queue replaces a per-level scan of all rows.
+  for (const char* name : {"delaunay_n20", "roadNet-PA", "hugetrace-00000"}) {
+    const auto& all = graph::paper_instances();
+    const auto it = std::find_if(all.begin(), all.end(), [&](const auto& i) {
+      return i.name == name;
+    });
+    ASSERT_NE(it, all.end()) << name;
+    const BipartiteGraph g = it->build(1.0 / 512.0, 3);
+    expect_exact_distances(g, matching::Matching(g));
+    expect_exact_distances(g, matching::cheap_matching(g));
+  }
+}
+
+TEST_P(GGrModes, LongChain) {
+  const BipartiteGraph g = gen::chain(3000);
+  matching::Matching m(g);
+  for (index_t i = 1; i < 3000; ++i) m.match(i, i - 1);  // only r0 free
+  expect_exact_distances(g, m);
+  expect_exact_distances(g, matching::Matching(g));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDevices, GGrModes,
+                         ::testing::Values(GrDevice::kSimSequential,
+                                           GrDevice::kSimConcurrent,
+                                           GrDevice::kHostParallel,
+                                           GrDevice::kHostOne),
                          [](const auto& param_info) {
-                           return param_info.param == ExecMode::kSequential
-                                      ? "Sequential"
-                                      : "Concurrent";
+                           switch (param_info.param) {
+                             case GrDevice::kSimSequential:
+                               return "SimSequential";
+                             case GrDevice::kSimConcurrent:
+                               return "SimConcurrent";
+                             case GrDevice::kHostParallel:
+                               return "HostParallel";
+                             case GrDevice::kHostOne:
+                               return "HostOneWorker";
+                           }
+                           return "Unknown";
                          });
+
+TEST(GGrSim, ModeledTimeAndLaunchesArePinned) {
+  // The sim keeps the paper's Alg. 5 grid: one launch per level over all
+  // rows, charged by the C2050 model.  The figures are the row-scan
+  // kernel's; if they move, the modeled reproduction moved with them.
+  const BipartiteGraph g = gen::trace_mesh(400, 3, 0.05, 4);
+  const matching::Matching m = matching::cheap_matching(g);
+  for (const GrDevice kind :
+       {GrDevice::kSimSequential, GrDevice::kSimConcurrent}) {
+    Device dev = device_for(kind);
+    DeviceState st = make_state(g, m);
+    const GrResult r = g_gr(dev, g, st);
+    EXPECT_EQ(dev.launches(), 35u);
+    EXPECT_DOUBLE_EQ(dev.modeled_ms(), 0.33753439999999996);
+    EXPECT_EQ(r.level_kernels, 33);
+    EXPECT_EQ(r.max_level, 66);
+  }
+}
 
 }  // namespace
 }  // namespace bpm::gpu

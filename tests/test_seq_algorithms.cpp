@@ -4,6 +4,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/instances.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hkdw.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -163,6 +164,30 @@ TEST(SeqPr, GapRelabelingRetiresColumns) {
                          &no_gap);
   EXPECT_EQ(no_gap.gap_retired, 0);
   EXPECT_GE(with_gap.gap_retired, 0);  // may be zero on easy instances
+}
+
+// A push that leaves ψ(v) unchanged (ψ_min + 1 == ψ(v)) once moved v from
+// label L to label L.  When v was alone at L, the count passed through 0,
+// set the gap threshold to L while v still held it, and retired every
+// column above L: seq-pr returned a non-maximum matching.
+TEST(SeqPr, UnchangedLabelPushDoesNotOpenAGapOnCoPapers) {
+  // coPapersDBLP analogue as `table1_runtimes --seed 7` builds it: Table I
+  // scale, seed 7 + instance id 2.
+  const graph::Instance& inst = graph::paper_instances()[1];
+  ASSERT_EQ(inst.name, "coPapersDBLP");
+  const BipartiteGraph g = inst.build(1.0 / 64.0, 9);
+  const Matching m = seq_push_relabel(g, cheap_matching(g));
+  ASSERT_TRUE(m.is_valid(g)) << m.first_violation(g);
+  EXPECT_EQ(m.cardinality(), hopcroft_karp(g, cheap_matching(g)).cardinality());
+  EXPECT_EQ(m.cardinality(), 7607);
+}
+
+TEST(SeqPr, UnchangedLabelPushDoesNotOpenAGapOnPlanted) {
+  // `gen x planted 3000 2.0 200062` then `submit x seq-pr` on bpm_serve.
+  const BipartiteGraph g = gen::planted_perfect(3000, 2.0, 200062);
+  const Matching m = seq_push_relabel(g, cheap_matching(g));
+  ASSERT_TRUE(m.is_valid(g)) << m.first_violation(g);
+  EXPECT_EQ(m.cardinality(), 3000);
 }
 
 TEST(HopcroftKarp, PhaseCountIsLogarithmicIsh) {

@@ -262,6 +262,19 @@ TEST(ServeSession, MalformedLinesAnswerErrorsAndServiceSurvives) {
   EXPECT_NE(lines[0].find("cardinality=40"), std::string::npos);
 }
 
+TEST(ServeSession, NonFiniteSolverOptionAnswersTypedError) {
+  MatchingService service(tiny_service_options());
+  SessionContext context(service);
+  Session session(context);
+  auto lines = run(session, "gen x planted 50 1.0 3");
+  ASSERT_TRUE(lines[0].starts_with("instance x"));
+  lines = run(session, "submit x g-pr-shr:k=nan");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(lines[0].starts_with("error code=")) << lines[0];
+  EXPECT_NE(lines[0].find("'k'"), std::string::npos) << lines[0];
+  EXPECT_EQ(session.errors(), 1u);
+}
+
 TEST(ServeSession, FuzzedLinesNeverThrow) {
   MatchingService service(tiny_service_options());
   SessionContext context(service);

@@ -162,10 +162,12 @@ TEST(Service, RejectsBadRequestsWithReasons) {
   EXPECT_FALSE(unknown_instance.accepted);
   EXPECT_NE(unknown_instance.reason.find("unknown instance"),
             std::string::npos);
+  EXPECT_FALSE(unknown_instance.bad_spec);
 
   const Submission bad_spec = svc.submit(request(handle, "no-such-solver"));
   EXPECT_FALSE(bad_spec.accepted);
   EXPECT_FALSE(bad_spec.reason.empty());
+  EXPECT_TRUE(bad_spec.bad_spec);
 
   EXPECT_EQ(svc.stats().rejected, 2u);
   EXPECT_EQ(svc.stats().accepted, 0u);

@@ -113,6 +113,43 @@ TEST(SolverSpec, MalformedOptionValueFailsAtInstantiate) {
       std::invalid_argument);
 }
 
+TEST(SolverSpec, NumericOptionsRejectNonFiniteValuesAndTrailingJunk) {
+  for (const char* spec :
+       {"g-pr-shr:k=nan", "g-pr-shr:k=inf", "g-pr-shr:k=-inf",
+        "g-pr-shr:k=1abc", "g-pr-shr:k=1.5x", "g-pr-shr:k= 1",
+        "g-pr-shr:balance-skew=nan", "seq-pr:k=nan", "seq-pr:k=inf",
+        "seq-pr:k=2junk", "auto:explore=nan"})
+    EXPECT_THROW((void)SolverSpec::parse(spec).instantiate(),
+                 std::invalid_argument)
+        << spec;
+  for (const char* spec : {"g-pr-shr:k=1", "g-pr-shr:k=1.0", "g-pr-shr:k=1e-1",
+                           "g-pr-shr:k=-0.5", "seq-pr:k=0.25",
+                           "auto:explore=0.5"})
+    EXPECT_NO_THROW((void)SolverSpec::parse(spec).instantiate()) << spec;
+}
+
+TEST(SolverSpec, IntegerOptionsAreRangeCheckedBeforeNarrowing) {
+  for (const char* spec :
+       {"g-pr-shr:shards=0", "g-pr-shr:shards=-1", "g-pr-shr:shards=2.5",
+        "g-pr-shr:shards=1e300", "g-pr-shr:shards=nan",
+        "g-pr-shr:shards=2147483648", "g-pr-shr:shards=2x",
+        "g-pr-shr:shrink-threshold=-1", "g-pr-shr:shrink-threshold=1e12",
+        "g-pr-shr:shrink-threshold=2147483648",
+        "g-pr-shr:shrink-threshold=inf", "g-pr-shr:shrink-threshold=8x",
+        "g-pr-shr:split=0", "g-pr-shr:split=-4", "g-pr-shr:split=1e300",
+        "g-pr-shr:split=9223372036854775808", "g-pr-shr:split=nan"})
+    EXPECT_THROW((void)SolverSpec::parse(spec).instantiate(),
+                 std::invalid_argument)
+        << spec;
+  for (const char* spec :
+       {"g-pr-shr:shards=2", "g-pr-shr:shards=auto",
+        "g-pr-shr:shards=2147483647", "g-pr-shr:shrink-threshold=0",
+        "g-pr-shr:shrink-threshold=2147483647", "g-pr-shr:split=4096",
+        "g-pr-shr:split=9223372036854775807", "g-pr-shr:split=auto",
+        "g-pr-shr:split=off"})
+    EXPECT_NO_THROW((void)SolverSpec::parse(spec).instantiate()) << spec;
+}
+
 TEST(SolverSpec, InstantiatedTunedSolverRunsEndToEnd) {
   const auto g = graph::gen::random_uniform(200, 210, 900, 3);
   device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 2});

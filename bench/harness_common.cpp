@@ -305,7 +305,6 @@ PipelineInstance to_pipeline_instance(const BuiltInstance& bi) {
   inst.features = bi.features.edges > 0
                       ? bi.features
                       : policy::compute_features(bi.g, bi.initial_cardinality);
-  inst.degree_skew = inst.features.degree_skew;
   return inst;
 }
 

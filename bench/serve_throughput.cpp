@@ -17,7 +17,8 @@
 // in one shuffled, unpaced burst against a cache-less service — the
 // workload where request coalescing (--coalesce) collapses duplicate
 // same-instance requests into shared dispatch batches.  Per-engine
-// dispatch stats show how --engines N --routing spread the work.
+// dispatch stats show how --engines N spread the work (each dispatch goes
+// to the least-loaded live engine).
 //
 // Open loop (--open-rate > 0): one thread submits at the target rate
 // against a bounded queue; completion latency percentiles and rejected
@@ -84,7 +85,6 @@ struct Mix {
 /// Engine-pool shape shared by every phase, straight from the CLI.
 struct PoolConfig {
   unsigned engines = 1;
-  serve::Routing routing = serve::Routing::kLeastLoaded;
   bool coalesce = false;
 };
 
@@ -101,7 +101,6 @@ serve::ServiceOptions service_options(const SuiteOptions& opt,
   s.queue_depth = queue_depth;
   s.cache = std::move(cache);
   s.engines = pool.engines;
-  s.routing = pool.routing;
   s.coalesce = pool.coalesce;
   s.tracer = opt.tracer();
   return s;
@@ -237,10 +236,6 @@ int main(int argc, char** argv) {
   cli.add_option("queue-depth", "admission queue bound for the open loop",
                  "256");
   cli.add_option("engines", "device engines behind the service", "1");
-  cli.add_option("routing",
-                 "engine routing policy (round-robin | least-loaded | "
-                 "affinity | backend-fit)",
-                 "least-loaded");
   cli.add_flag("coalesce",
                "coalesce same-instance queued requests into one dispatch "
                "batch");
@@ -267,7 +262,6 @@ int main(int argc, char** argv) {
     cli.parse(argc, argv);
     opt = suite_options_from_cli(cli);
     pool.engines = static_cast<unsigned>(cli.get_int("engines"));
-    pool.routing = serve::parse_routing(cli.get_string("routing"));
     pool.coalesce = cli.get_flag("coalesce");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
@@ -303,7 +297,6 @@ int main(int argc, char** argv) {
   std::cout << "# mix: " << suite.size() << " instances x "
             << opt.algos.size() << " specs, " << requests
             << " requests per level; engines=" << pool.engines
-            << " routing=" << serve::routing_name(pool.routing)
             << " coalesce=" << (pool.coalesce ? "on" : "off")
             << "; reference " << (reference.all_ok() ? "ok" : "FAILED")
             << "\n\n";

@@ -1,8 +1,8 @@
 // bpm_serve — a long-running matching service behind a line-delimited
 // request protocol, driven from a script file (--script), stdin, or a
 // TCP socket (--listen).  The service owns a pool of --engines device
-// engines for its whole lifetime (dispatches routed by --routing:
-// round-robin, least-loaded, or instance affinity), dedups registered
+// engines for its whole lifetime (each dispatch goes to the least-loaded
+// live engine; a sharded one is pinned to engine 0), dedups registered
 // graphs by structural fingerprint, schedules requests from a bounded
 // priority queue — coalescing same-instance queued requests into one
 // dispatch batch unless --no-coalesce — and (with --cache-bytes > 0)
@@ -10,7 +10,7 @@
 // result cache that can be snapshotted to disk and reloaded on restart.
 //
 //   bpm_serve --script examples/serve_smoke.req
-//   bpm_serve --engines 4 --routing affinity < requests.txt
+//   bpm_serve --engines 4 < requests.txt
 //   bpm_serve --listen 7471 --quota 1000 --auth-token s3cret
 //   bpm_serve --cache-load warm.cache --cache-save warm.cache < requests.txt
 //
@@ -96,10 +96,6 @@ int main(int argc, char** argv) {
                  "sim");
   cli.add_option("queue-depth", "admission queue bound", "256");
   cli.add_option("engines", "device engines behind the service", "1");
-  cli.add_option("routing",
-                 "engine routing policy (round-robin | least-loaded | "
-                 "affinity | backend-fit)",
-                 "least-loaded");
   cli.add_flag("numa",
                "spread the engines' numa_node hints across the machine's "
                "NUMA nodes (each engine's pool and arenas stay node-local)");
@@ -149,7 +145,6 @@ int main(int argc, char** argv) {
     opt.queue_depth = static_cast<std::size_t>(cli.get_int("queue-depth"));
     opt.verify = !cli.get_flag("no-verify");
     opt.engines = static_cast<unsigned>(cli.get_int("engines"));
-    opt.routing = serve::parse_routing(cli.get_string("routing"));
     if (cli.get_flag("numa")) {
       // Explicit descriptors: engine e pinned to NUMA node e % nodes, so a
       // sharded solve's shard-local arenas land on the engine's socket.

@@ -123,12 +123,10 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
                   : matching::cheap_matching(inst.graph);
   inst.initial_cardinality = inst.init.cardinality();
   inst.fingerprint = graph::structural_fingerprint(inst.graph);
-  // Full feature extraction for policy resolution (and backend-fit
-  // routing via `degree_skew`) — O(cols) over the CSR pointers, amortised
-  // over every job this instance will serve.
+  // Full feature extraction for policy resolution — O(cols) over the CSR
+  // pointers, amortised over every job this instance will serve.
   inst.features = policy::compute_features(inst.graph,
                                            inst.initial_cardinality);
-  inst.degree_skew = inst.features.degree_skew;
   if (options.verify)
     // Ground truth once per instance via Hopcroft–Karp seeded with the
     // shared init (tested against the independent reference in tests/).

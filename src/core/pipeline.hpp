@@ -82,12 +82,7 @@ struct PipelineInstance {
   /// instances with equal fingerprints are the same graph, which is what
   /// keys the result cache.
   std::uint64_t fingerprint = 0;
-  /// Column-degree skew (max/mean over non-empty columns), computed once
-  /// at admission.  1 is perfectly uniform; hub instances run to 10+.
-  /// Dispatchers use it to route skewed instances to engines whose
-  /// backend thrives on balanced kernels (`serve::Routing::kBackendFit`).
-  double degree_skew = 0.0;
-  /// The full feature vector behind `degree_skew` (size, density, hub
+  /// The instance's feature vector (size, density, degree skew, hub
   /// mass, deficiency), computed once at admission: what
   /// `policy::AutoSolver` resolves against at dispatch time.  Cached here
   /// means cached on `serve::InstanceStore` entries, which dedup by

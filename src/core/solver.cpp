@@ -87,16 +87,24 @@ class GprSolver final : public Solver {
 
   [[nodiscard]] SolverCaps caps() const override {
     return {.needs_device = true, .multicore = false, .deterministic = false,
-            .exact = true,
-            // The sharded driver's per-shard push is the edge-balanced one.
-            .balanced = options_.balance != gpu::BalanceMode::kOff ||
-                        options_.shards != 1,
-            .sharded = options_.shards != 1};
+            .exact = true, .sharded = options_.shards != 1};
   }
 
   bool set_option(std::string_view key, std::string_view value) override {
     if (key == "k") {
-      options_.k = parse_double(key, value);
+      // k scales the global-relabel interval, so outside a sane range it
+      // multiplies work: a huge k stops relabelling (k=1e9 ran ~250x the
+      // default on a Table I analogue, host backend), a tiny or negative
+      // one relabels every loop.  The range covers the paper's sweeps: 0.3-2
+      // adaptive, 10 and 50 fixed.
+      constexpr double kMinK = 0.01;
+      constexpr double kMaxK = 100.0;
+      const double k = parse_double(key, value);
+      if (k < kMinK || k > kMaxK)
+        throw std::invalid_argument(
+            "option 'k' wants a number in [0.01, 100], got '" +
+            std::string(value) + "'");
+      options_.k = k;
     } else if (key == "strategy") {
       if (value == "adaptive")
         options_.strategy = gpu::RelabelStrategy::kAdaptive;

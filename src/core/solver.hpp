@@ -31,16 +31,11 @@ struct SolverCaps {
   /// initialisation heuristics (greedy, Karp–Sipser), which are registered
   /// so that pipelines can run and compare them like any other solver.
   bool exact = true;
-  /// Uses edge-balanced (`Device::launch_balanced`) kernels — on or auto
-  /// (`GprOptions::balance`).  A routing hint: balanced kernels thrive on
-  /// skewed instances and on the host backend's work-partitioned chunks
-  /// (`serve::Routing::kBackendFit`).
-  bool balanced = false;
   /// Cuts the instance into column shards and spreads them over
   /// `SolveContext::engines` (`g-pr-sh`, or `shards=K|auto` on a G-PR
   /// spec).  Dispatchers hand such solvers their whole engine fleet and
-  /// pin the coordinator stream shard-local
-  /// (`serve::DispatchProfile::preferred_engine`).
+  /// pin the coordinator stream shard-local (the `preferred_engine` of
+  /// `serve::EngineGroup::acquire`).
   bool sharded = false;
 };
 

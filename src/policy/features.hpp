@@ -27,8 +27,7 @@ struct InstanceFeatures {
   /// Mean degree over non-empty columns.
   double avg_degree = 0.0;
   /// Max/mean column degree over non-empty columns — 1 is perfectly
-  /// uniform, hub instances run to 10+.  Identical to the admission-time
-  /// `PipelineInstance::degree_skew` the backend-fit router uses.
+  /// uniform, hub instances run to 10+.
   double degree_skew = 0.0;
   /// Fraction of all edges owned by columns heavy enough to monopolise a
   /// chunk of the edge-balanced partition (`device::balanced_partition`

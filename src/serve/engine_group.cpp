@@ -1,34 +1,8 @@
 #include "serve/engine_group.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 namespace bpm::serve {
-
-Routing parse_routing(std::string_view name) {
-  if (name == "round-robin") return Routing::kRoundRobin;
-  if (name == "least-loaded") return Routing::kLeastLoaded;
-  if (name == "affinity") return Routing::kAffinity;
-  if (name == "backend-fit") return Routing::kBackendFit;
-  throw std::invalid_argument(
-      "unknown routing policy '" + std::string(name) +
-      "' (round-robin | least-loaded | affinity | backend-fit)");
-}
-
-std::string_view routing_name(Routing routing) {
-  switch (routing) {
-    case Routing::kRoundRobin:
-      return "round-robin";
-    case Routing::kLeastLoaded:
-      return "least-loaded";
-    case Routing::kAffinity:
-      return "affinity";
-    case Routing::kBackendFit:
-      return "backend-fit";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -40,20 +14,19 @@ std::shared_ptr<device::Engine> make_engine(device::EngineDescriptor d) {
 
 }  // namespace
 
-EngineGroup::EngineGroup(EngineGroupOptions options)
-    : options_(std::move(options)) {
-  if (!options_.descriptors.empty()) {
-    engines_.reserve(options_.descriptors.size());
-    for (const device::EngineDescriptor& d : options_.descriptors)
+EngineGroup::EngineGroup(const EngineGroupOptions& options) {
+  if (!options.descriptors.empty()) {
+    engines_.reserve(options.descriptors.size());
+    for (const device::EngineDescriptor& d : options.descriptors)
       engines_.push_back(make_engine(d));
   } else {
-    const unsigned n = std::max(options_.engines, 1u);
+    const unsigned n = std::max(options.engines, 1u);
     engines_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
       engines_.push_back(
-          make_engine({.backend = options_.backend,
-                       .mode = options_.device_mode,
-                       .threads = options_.device_threads}));
+          make_engine({.backend = options.backend,
+                       .mode = options.device_mode,
+                       .threads = options.device_threads}));
   }
   const auto n = engines_.size();
   retired_.assign(n, false);
@@ -82,99 +55,18 @@ unsigned EngineGroup::least_loaded_locked() const {
   return best;
 }
 
-unsigned EngineGroup::backend_fit_locked(
-    const DispatchProfile& profile) const {
-  const bool heavy = profile.balanced_kernels ||
-                     profile.degree_skew >= options_.fit_skew_threshold ||
-                     profile.estimated_work >= options_.fit_huge_work;
-  const bool tiny =
-      !heavy && profile.estimated_work < options_.fit_tiny_work;
-  // "i is a strictly better fit than j": shape preference first, then the
-  // least-loaded tie-break so equal-fit engines still share the queue.
-  const auto better = [&](unsigned i, unsigned j) {
-    const device::EngineDescriptor& di = engines_[i]->descriptor();
-    const device::EngineDescriptor& dj = engines_[j]->descriptor();
-    if (tiny) {
-      if (di.lanes != dj.lanes) return di.lanes < dj.lanes;
-    } else if (heavy) {
-      const bool host_i = di.backend == device::Backend::kHost;
-      const bool host_j = dj.backend == device::Backend::kHost;
-      if (host_i != host_j) return host_i;
-      // Among equal backends the widest engine wins — more workers on a
-      // host engine, more straggler-model lanes on a sim one.
-      if (di.lanes != dj.lanes) return di.lanes > dj.lanes;
-    }
-    const double load_i = engines_[i]->load();
-    const double load_j = engines_[j]->load();
-    if (load_i != load_j) return load_i < load_j;
-    if (dispatches_[i] != dispatches_[j])
-      return dispatches_[i] < dispatches_[j];
-    return i < j;
-  };
-  unsigned best = 0;
-  bool found = false;
-  for (int pass = 0; pass < 2 && !found; ++pass)
-    for (unsigned i = 0; i < engines_.size(); ++i) {
-      if (pass == 0 && retired_[i]) continue;
-      if (!found || better(i, best)) best = i;
-      found = true;
-    }
-  return best;
-}
-
-unsigned EngineGroup::pick_locked(const DispatchProfile& profile) {
-  // Shard-local placement first: a sharded dispatch's coordinator belongs
-  // with the engine that hosts shard 0's arena, whatever the policy says.
-  if (profile.preferred_engine >= 0 &&
-      static_cast<std::size_t>(profile.preferred_engine) < engines_.size() &&
-      !retired_[static_cast<std::size_t>(profile.preferred_engine)])
-    return static_cast<unsigned>(profile.preferred_engine);
-  const std::uint64_t fingerprint = profile.fingerprint;
-  switch (options_.routing) {
-    case Routing::kRoundRobin: {
-      // Next live engine at or after the cursor; with everything retired
-      // the cursor position itself serves as the fallback.
-      const auto n = static_cast<unsigned>(engines_.size());
-      for (unsigned step = 0; step < n; ++step) {
-        const unsigned i = (round_robin_next_ + step) % n;
-        if (!retired_[i]) {
-          round_robin_next_ = (i + 1) % n;
-          return i;
-        }
-      }
-      return round_robin_next_;
-    }
-    case Routing::kLeastLoaded:
-      return least_loaded_locked();
-    case Routing::kAffinity: {
-      const auto it = affinity_.find(fingerprint);
-      if (it != affinity_.end()) {
-        // Sticky hit — necessarily a live engine: retire() erases every
-        // mapping to the retired engine under this same mutex.  Refresh
-        // recency and keep the warm placement.
-        affinity_lru_.splice(affinity_lru_.begin(), affinity_lru_,
-                             it->second);
-        return it->second->second;
-      }
-      const unsigned idx = least_loaded_locked();
-      affinity_lru_.emplace_front(fingerprint, idx);
-      affinity_.emplace(fingerprint, affinity_lru_.begin());
-      while (affinity_lru_.size() > options_.affinity_capacity) {
-        affinity_.erase(affinity_lru_.back().first);
-        affinity_lru_.pop_back();
-      }
-      return idx;
-    }
-    case Routing::kBackendFit:
-      return backend_fit_locked(profile);
-  }
-  return 0;
-}
-
-EngineGroup::Lease EngineGroup::acquire(const DispatchProfile& profile) {
-  const double work = std::max(profile.estimated_work, 1.0);
+EngineGroup::Lease EngineGroup::acquire(double estimated_work,
+                                        int preferred_engine) {
+  const double work = std::max(estimated_work, 1.0);
   const std::scoped_lock lock(mutex_);
-  const unsigned idx = pick_locked(profile);
+  // Shard-local placement first: a sharded dispatch's coordinator belongs
+  // with the engine that hosts shard 0's arena.
+  const bool preferred_live =
+      preferred_engine >= 0 &&
+      static_cast<std::size_t>(preferred_engine) < engines_.size() &&
+      !retired_[static_cast<std::size_t>(preferred_engine)];
+  const unsigned idx = preferred_live ? static_cast<unsigned>(preferred_engine)
+                                      : least_loaded_locked();
   ++dispatches_[idx];
   work_dispatched_[idx] += work;
   // Charge the gauge while still holding the group mutex so a concurrent
@@ -182,12 +74,6 @@ EngineGroup::Lease EngineGroup::acquire(const DispatchProfile& profile) {
   // engine; nothing takes them the other way around).
   engines_[idx]->add_load(work);
   return Lease(engines_[idx], idx, work);
-}
-
-EngineGroup::Lease EngineGroup::acquire(std::uint64_t fingerprint,
-                                        double estimated_work) {
-  return acquire(DispatchProfile{.fingerprint = fingerprint,
-                                 .estimated_work = estimated_work});
 }
 
 std::vector<std::shared_ptr<device::Engine>> EngineGroup::live_engines()
@@ -205,14 +91,6 @@ void EngineGroup::retire(unsigned index) {
   const std::scoped_lock lock(mutex_);
   if (index >= engines_.size() || retired_[index]) return;
   retired_[index] = true;
-  for (auto it = affinity_lru_.begin(); it != affinity_lru_.end();) {
-    if (it->second == index) {
-      affinity_.erase(it->first);
-      it = affinity_lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 bool EngineGroup::retired(unsigned index) const {

@@ -1,11 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,37 +10,8 @@
 
 namespace bpm::serve {
 
-/// How an `EngineGroup` picks the engine for the next dispatch.
-enum class Routing {
-  /// Cycle through the live engines in index order, load-blind.
-  kRoundRobin,
-  /// Lowest in-flight modeled work (`device::Engine::load`); ties go to
-  /// the engine with the fewest lifetime dispatches, then the lowest
-  /// index, so a cold pool fans out instead of piling onto engine 0.
-  kLeastLoaded,
-  /// Sticky (instance fingerprint → engine) map: dispatches of a graph
-  /// keep landing on the engine that already ran it — the cache-warm
-  /// placement — until the mapping is evicted (capacity or retirement).
-  /// Unmapped fingerprints fall back to the least-loaded pick.
-  kAffinity,
-  /// Place by backend fit in a (possibly mixed) pool: tiny dispatches go
-  /// to the engine with the fewest lanes (the cheapest one to occupy);
-  /// skewed, huge, or balanced-kernel dispatches go to host engines with
-  /// the most workers (where edge-balanced chunks are real parallelism);
-  /// everything else falls back to the least-loaded pick.  Thresholds in
-  /// `EngineGroupOptions::fit_*`; the dispatch shape comes from
-  /// `DispatchProfile`.
-  kBackendFit,
-};
-
-/// "round-robin" | "least-loaded" | "affinity" | "backend-fit"; throws
-/// `std::invalid_argument` (listing the policies) on anything else.
-[[nodiscard]] Routing parse_routing(std::string_view name);
-[[nodiscard]] std::string_view routing_name(Routing routing);
-
 struct EngineGroupOptions {
   unsigned engines = 1;  ///< pool size (rounded up to at least 1)
-  Routing routing = Routing::kLeastLoaded;
   /// Backend of every engine in a uniform pool (ignored when
   /// `descriptors` is non-empty).
   device::Backend backend = device::default_backend();
@@ -53,34 +21,6 @@ struct EngineGroupOptions {
   /// differing worker counts).  Non-empty overrides `engines`/`backend`/
   /// `device_mode`/`device_threads`; one engine is built per entry.
   std::vector<device::EngineDescriptor> descriptors;
-  /// Bound on sticky (fingerprint → engine) entries under `kAffinity`;
-  /// beyond it the least-recently dispatched mapping is evicted.
-  std::size_t affinity_capacity = 1024;
-  /// `kBackendFit` thresholds: a dispatch below `fit_tiny_work` estimated
-  /// work units is tiny; one at/above `fit_huge_work`, with
-  /// `DispatchProfile::degree_skew >= fit_skew_threshold`, or running
-  /// balanced kernels wants a host engine.
-  double fit_tiny_work = 4096.0;
-  double fit_huge_work = 1e7;
-  double fit_skew_threshold = 4.5;
-};
-
-/// The shape of one dispatch, for routing policies that look past the
-/// fingerprint (`kBackendFit`).  Built by the dispatcher from what it
-/// already knows: the admitted instance's size and degree skew, and the
-/// solver's capabilities.
-struct DispatchProfile {
-  std::uint64_t fingerprint = 0;
-  double estimated_work = 0.0;  ///< load-gauge charge (clamped to >= 1)
-  std::int64_t edges = 0;       ///< instance edge count
-  double degree_skew = 0.0;     ///< PipelineInstance::degree_skew
-  bool balanced_kernels = false;  ///< solver runs edge-balanced launches
-  /// Shard-local placement hint: a sharded dispatch runs shard k on engine
-  /// `k % fleet` of the fleet it is handed, so its coordinator stream (and
-  /// the load charge) belongs on that same engine — routing honours a
-  /// valid, live preferred engine before any policy pick.  -1 = no
-  /// preference.
-  int preferred_engine = -1;
 };
 
 /// One engine's dispatch counters, next to its device odometer.
@@ -96,22 +36,24 @@ struct EngineGroupEngineStats {
 };
 
 /// A pool of N `device::Engine`s behind one dispatch point: `acquire`
-/// routes a unit of work (an instance fingerprint plus a modeled-work
-/// estimate) to an engine under the configured `Routing` policy and
-/// returns an RAII `Lease` that charges the engine's load gauge for its
-/// lifetime.  This is the seam that turns "the service owns one engine"
-/// into "the service schedules over a fleet" — a CUDA backend slots in as
-/// another engine here without the service noticing.
+/// routes a unit of work (a modeled-work estimate) to the least-loaded
+/// live engine — lowest in-flight work (`device::Engine::load`), ties to
+/// the fewest lifetime dispatches, then the lowest index, so a cold pool
+/// fans out instead of piling onto engine 0 — and returns an RAII `Lease`
+/// that charges the engine's load gauge for its lifetime.  This is the
+/// seam that turns "the service owns one engine" into "the service
+/// schedules over a fleet" — a CUDA backend slots in as another engine
+/// here without the service noticing.
 ///
 /// Engines can be `retire`d (failure, maintenance): a retired engine gets
-/// no new dispatches and loses its affinity mappings, but outstanding
-/// leases stay valid — a lease holds the engine `shared_ptr`, so streams
-/// on it keep running even if the whole group is destroyed first.
+/// no new dispatches, but outstanding leases stay valid — a lease holds
+/// the engine `shared_ptr`, so streams on it keep running even if the
+/// whole group is destroyed first.
 ///
 /// Thread safety: all members are safe to call concurrently.
 class EngineGroup {
  public:
-  explicit EngineGroup(EngineGroupOptions options = {});
+  explicit EngineGroup(const EngineGroupOptions& options = {});
 
   EngineGroup(const EngineGroup&) = delete;
   EngineGroup& operator=(const EngineGroup&) = delete;
@@ -163,17 +105,15 @@ class EngineGroup {
     double work_ = 0.0;
   };
 
-  /// Routes one dispatch: picks an engine for the profile under the
-  /// routing policy, charges `estimated_work` (clamped to at least 1) to
-  /// its load gauge, and returns the lease.  Never fails: with every
-  /// engine retired, the pick falls back over the retired pool — a
-  /// draining service must still make progress.
-  [[nodiscard]] Lease acquire(const DispatchProfile& profile);
-
-  /// Fingerprint-and-work shorthand for policies that need nothing more
-  /// (everything but `kBackendFit`, which sees an all-default shape).
-  [[nodiscard]] Lease acquire(std::uint64_t fingerprint,
-                              double estimated_work);
+  /// Routes one dispatch: picks the least-loaded live engine — or
+  /// `preferred_engine` when it names a live one (a sharded dispatch runs
+  /// shard k on engine `k % fleet`, so its coordinator stream and load
+  /// charge belong with shard 0's engine) — charges `estimated_work`
+  /// (clamped to at least 1) to its load gauge, and returns the lease.
+  /// Never fails: with every engine retired, the pick falls back over the
+  /// retired pool — a draining service must still make progress.
+  [[nodiscard]] Lease acquire(double estimated_work,
+                              int preferred_engine = -1);
 
   [[nodiscard]] unsigned size() const {
     return static_cast<unsigned>(engines_.size());
@@ -188,10 +128,9 @@ class EngineGroup {
       unsigned index) const {
     return engines_.at(index);
   }
-  [[nodiscard]] Routing routing() const { return options_.routing; }
 
-  /// Stops routing new dispatches to `index` and evicts its affinity
-  /// mappings; outstanding leases are unaffected.  Idempotent.
+  /// Stops routing new dispatches to `index`; outstanding leases are
+  /// unaffected.  Idempotent.
   void retire(unsigned index);
   [[nodiscard]] bool retired(unsigned index) const;
 
@@ -199,24 +138,14 @@ class EngineGroup {
   [[nodiscard]] std::vector<EngineGroupEngineStats> stats() const;
 
  private:
-  [[nodiscard]] unsigned pick_locked(const DispatchProfile& profile);
   [[nodiscard]] unsigned least_loaded_locked() const;
-  [[nodiscard]] unsigned backend_fit_locked(
-      const DispatchProfile& profile) const;
 
-  EngineGroupOptions options_;
   std::vector<std::shared_ptr<device::Engine>> engines_;
 
   mutable std::mutex mutex_;
   std::vector<bool> retired_;
   std::vector<std::uint64_t> dispatches_;
   std::vector<double> work_dispatched_;
-  unsigned round_robin_next_ = 0;
-  /// Affinity LRU: most recently dispatched at the front.
-  std::list<std::pair<std::uint64_t, unsigned>> affinity_lru_;
-  std::unordered_map<std::uint64_t,
-                     std::list<std::pair<std::uint64_t, unsigned>>::iterator>
-      affinity_;
 };
 
 }  // namespace bpm::serve

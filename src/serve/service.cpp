@@ -33,7 +33,6 @@ std::uint64_t ms_to_us(double ms) {
 MatchingService::MatchingService(ServiceOptions options)
     : options_(std::move(options)),
       group_({.engines = options_.engines,
-              .routing = options_.routing,
               .backend = options_.backend,
               .device_mode = options_.device_mode,
               .device_threads = options_.device_threads,
@@ -253,28 +252,17 @@ void MatchingService::serve_batch(
     const double estimated_work =
         static_cast<double>(inst.graph.num_edges() + inst.graph.num_rows()) *
         static_cast<double>(distinct.size());
-    // The full dispatch shape for routing policies that look past the
-    // fingerprint (kBackendFit): instance size + admission-time degree
-    // skew, and whether any solver in the batch runs balanced kernels.
-    DispatchProfile profile{
-        .fingerprint = inst.fingerprint,
-        .estimated_work = estimated_work,
-        .edges = static_cast<std::int64_t>(inst.graph.num_edges()),
-        .degree_skew = inst.degree_skew};
     bool sharded = false;
-    for (const std::size_t i : live) {
-      const SolverCaps caps = batch[i]->solver->caps();
-      if (caps.balanced) profile.balanced_kernels = true;
-      sharded = sharded || caps.sharded;
-    }
+    for (const std::size_t i : live)
+      sharded = sharded || batch[i]->solver->caps().sharded;
     // A sharded dispatch spreads shard k over engine k of the live fleet,
     // so pin its coordinator stream (and the load charge) on the engine
-    // that hosts shard 0's arena instead of letting the policy scatter it.
-    if (sharded) profile.preferred_engine = 0;
+    // that hosts shard 0's arena instead of the least-loaded pick.
+    const int preferred_engine = sharded ? 0 : -1;
     const std::function<device::Device&()> provider =
         [&]() -> device::Device& {
       if (!stream) {
-        lease.emplace(group_.acquire(profile));
+        lease.emplace(group_.acquire(estimated_work, preferred_engine));
         stream.emplace(lease->engine());
         if (tracer != nullptr) stream->set_tracer(tracer);
         if (dispatch_sp)

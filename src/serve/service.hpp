@@ -107,11 +107,10 @@ struct ServiceOptions {
   /// Result cache shared by all requests (and with any pipelines holding
   /// the same pointer); null serves every request by solving.
   std::shared_ptr<ResultCache> cache;
-  /// Device engines behind the service; every dispatch is routed across
-  /// them by `routing` through a `serve::EngineGroup`.  1 keeps the
+  /// Device engines behind the service; every dispatch goes to the
+  /// least-loaded live one through a `serve::EngineGroup`.  1 keeps the
   /// single-engine behaviour.
   unsigned engines = 1;
-  Routing routing = Routing::kLeastLoaded;
   /// Coalesce compatible queued requests — same registered instance, no
   /// deadline — into one pipeline batch per dispatch: one routed engine
   /// stream and one pass of cache probes for the whole batch, duplicate
@@ -181,8 +180,8 @@ struct SolverLatency {
 /// Each worker dispatch takes the best queued request and — with
 /// `coalesce` on — every compatible queued request of the same instance,
 /// and serves them as one batch through the pipeline's
-/// `run_admitted_jobs` seam on a single stream of an engine picked by the
-/// group's routing policy (round-robin, least-loaded, instance-affinity).
+/// `run_admitted_jobs` seam on a single stream of the group's least-loaded
+/// live engine (a sharded batch is pinned to engine 0).
 /// Duplicate (instance, spec) requests in a batch are solved once and
 /// fanned back out; per-request responses, deadline, and verification
 /// semantics are exactly those of the uncoalesced service.  Priorities
@@ -192,9 +191,7 @@ struct SolverLatency {
 /// would uncoalesced.
 ///
 /// ```
-/// serve::MatchingService svc({.workers = 4, .cache = cache,
-///                             .engines = 2,
-///                             .routing = serve::Routing::kAffinity});
+/// serve::MatchingService svc({.workers = 4, .cache = cache, .engines = 2});
 /// auto handle = svc.add_instance("web", std::move(graph)).handle;
 /// auto sub = svc.submit({.instance = handle,
 ///                        .spec = SolverSpec::parse("g-pr-shr:k=1.5")});

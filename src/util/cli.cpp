@@ -146,15 +146,14 @@ std::vector<SolverSpec> solver_specs_from_cli(const CliParser& cli) {
 void exit_if_list_algos(const CliParser& cli) {
   if (!cli.has("list-algos") || !cli.get_flag("list-algos")) return;
   const SolverRegistry& registry = SolverRegistry::instance();
-  std::cout
-      << "name         device  multicore  deterministic  exact  balanced\n";
+  std::cout << "name         device  multicore  deterministic  exact\n";
   for (const std::string& name : registry.names()) {
     const SolverCaps caps = registry.create(name)->caps();
     const auto yn = [](bool b) { return b ? "yes" : "no "; };
     std::cout << name << std::string(name.size() < 13 ? 13 - name.size() : 1, ' ')
               << yn(caps.needs_device) << "     " << yn(caps.multicore)
               << "        " << yn(caps.deterministic) << "            "
-              << yn(caps.exact) << "    " << yn(caps.balanced) << "\n";
+              << yn(caps.exact) << "\n";
   }
   for (const auto& [alias, canonical] : registry.alias_list())
     std::cout << "alias: " << alias << " -> " << canonical << "\n";

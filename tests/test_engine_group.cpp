@@ -1,7 +1,7 @@
-// serve::EngineGroup (src/serve/engine_group.hpp): routing policies
-// (round-robin fairness, least-loaded idle pick, sticky instance
-// affinity with LRU eviction), the engine load gauge behind them
-// (device::Engine::add_load/remove_load/load), and the
+// serve::EngineGroup (src/serve/engine_group.hpp): least-loaded routing
+// (idle pick, the lifetime-dispatch and index tie-breaks), the
+// preferred-engine override a sharded dispatch uses, the engine load
+// gauge behind them (device::Engine::add_load/remove_load/load), and the
 // failure/shutdown-while-busy edge cases (retired engines stop receiving,
 // outstanding leases keep their engine alive).
 
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,50 +18,41 @@
 namespace bpm::serve {
 namespace {
 
-TEST(Routing, ParsesAndNamesEveryPolicy) {
-  EXPECT_EQ(parse_routing("round-robin"), Routing::kRoundRobin);
-  EXPECT_EQ(parse_routing("least-loaded"), Routing::kLeastLoaded);
-  EXPECT_EQ(parse_routing("affinity"), Routing::kAffinity);
-  for (const Routing r : {Routing::kRoundRobin, Routing::kLeastLoaded,
-                          Routing::kAffinity})
-    EXPECT_EQ(parse_routing(routing_name(r)), r);  // round-trip
-  EXPECT_THROW((void)parse_routing("sideways"), std::invalid_argument);
-}
-
 TEST(EngineGroup, EngineLoadGaugeTracksLeases) {
   EngineGroup group({.engines = 1});
   const auto& engine = group.engine(0);
   EXPECT_DOUBLE_EQ(engine->load(), 0.0);
   {
-    const EngineGroup::Lease a = group.acquire(1, 8.0);
-    const EngineGroup::Lease b = group.acquire(2, 4.0);
+    const EngineGroup::Lease a = group.acquire(8.0);
+    const EngineGroup::Lease b = group.acquire(4.0);
     EXPECT_DOUBLE_EQ(engine->load(), 12.0);
     EXPECT_EQ(a.index(), 0u);
   }
   EXPECT_DOUBLE_EQ(engine->load(), 0.0);  // released with the leases
 
   // A zero (or negative) work estimate still charges a unit, so holding
-  // a lease is never invisible to the least-loaded policy.
-  const EngineGroup::Lease c = group.acquire(3, 0.0);
+  // a lease is never invisible to the least-loaded pick.
+  const EngineGroup::Lease c = group.acquire(0.0);
   EXPECT_DOUBLE_EQ(engine->load(), 1.0);
 }
 
-TEST(EngineGroup, RoundRobinIsFair) {
-  EngineGroup group({.engines = 4, .routing = Routing::kRoundRobin});
-  // 12 dispatches of wildly different fingerprints and work estimates:
-  // round-robin ignores both and deals every engine exactly 3.
+TEST(EngineGroup, IdleTiesGoToFewestDispatchesThenLowestIndex) {
+  EngineGroup group({.engines = 4});
+  // 12 dispatches released at once, with wildly different work
+  // estimates: every pick sees an idle pool, so the (dispatches, index)
+  // tie-break deals the engines in index order, 3 each.
   for (int i = 0; i < 12; ++i)
-    (void)group.acquire(static_cast<std::uint64_t>(i * 7919),
-                        static_cast<double>(1 + i * 100));
+    EXPECT_EQ(group.acquire(static_cast<double>(1 + i * 100)).index(),
+              static_cast<unsigned>(i % 4));
   for (const EngineGroupEngineStats& s : group.stats())
     EXPECT_EQ(s.dispatches, 3u) << "engine " << s.index;
 }
 
 TEST(EngineGroup, LeastLoadedPicksTheIdleEngine) {
-  EngineGroup group({.engines = 3, .routing = Routing::kLeastLoaded});
-  EngineGroup::Lease a = group.acquire(1, 10.0);
-  EngineGroup::Lease b = group.acquire(2, 10.0);
-  EngineGroup::Lease c = group.acquire(3, 10.0);
+  EngineGroup group({.engines = 3});
+  EngineGroup::Lease a = group.acquire(10.0);
+  EngineGroup::Lease b = group.acquire(10.0);
+  EngineGroup::Lease c = group.acquire(10.0);
   // A cold pool fans out: three held leases land on three engines.
   const std::set<unsigned> spread = {a.index(), b.index(), c.index()};
   EXPECT_EQ(spread.size(), 3u);
@@ -71,69 +61,70 @@ TEST(EngineGroup, LeastLoadedPicksTheIdleEngine) {
   const unsigned freed = b.index();
   b.release();
   EXPECT_FALSE(b);
-  const EngineGroup::Lease d = group.acquire(4, 10.0);
+  const EngineGroup::Lease d = group.acquire(10.0);
   EXPECT_EQ(d.index(), freed);
 }
 
-TEST(EngineGroup, AffinityIsStickyUntilEviction) {
-  EngineGroup group({.engines = 3, .routing = Routing::kAffinity,
-                     .affinity_capacity = 2});
-  const unsigned home = group.acquire(100, 5.0).index();
-  // Sticky: the fingerprint keeps landing on its engine even though the
-  // other engines are completely idle...
-  for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(group.acquire(100, 5.0).index(), home);
-  // ...and even while that engine is the most loaded one in the pool.
-  const EngineGroup::Lease busy = group.acquire(100, 50.0);
-  EXPECT_EQ(busy.index(), home);
-  EXPECT_EQ(group.acquire(100, 5.0).index(), home);
-
-  // A new fingerprint takes the least-loaded pick — not the warm engine.
-  const unsigned other = group.acquire(200, 5.0).index();
-  EXPECT_NE(other, home);
-  EXPECT_EQ(group.acquire(200, 5.0).index(), other);  // sticky too
-
-  // Capacity 2: pinning a third fingerprint evicts the least-recently
-  // dispatched mapping (fingerprint 100), which then re-pins elsewhere —
-  // its old engine is the busiest, so the fresh pick avoids it.
-  (void)group.acquire(300, 5.0);
-  EXPECT_NE(group.acquire(100, 5.0).index(), home);
+TEST(EngineGroup, PreferredEngineOverridesTheLeastLoadedPick) {
+  EngineGroup group({.engines = 3});
+  // Engine 0 is the busiest in the pool — but a sharded dispatch pins its
+  // coordinator on shard 0's engine anyway.
+  const EngineGroup::Lease busy = group.acquire(100.0);
+  ASSERT_EQ(busy.index(), 0u);
+  const EngineGroup::Lease pinned = group.acquire(5.0, 0);
+  EXPECT_EQ(pinned.index(), 0u);
+  EXPECT_DOUBLE_EQ(group.engine(0)->load(), 105.0);
+  // Retired or out-of-range preferences fall back to the least-loaded
+  // pick among the live engines.
+  group.retire(0);
+  const EngineGroup::Lease fallback = group.acquire(5.0, 0);
+  EXPECT_EQ(fallback.index(), 1u);
+  const EngineGroup::Lease bogus = group.acquire(5.0, 99);
+  EXPECT_EQ(bogus.index(), 2u);
 }
 
-TEST(EngineGroup, RetireStopsRoutingAndDropsAffinity) {
-  EngineGroup group({.engines = 2, .routing = Routing::kAffinity});
-  const unsigned home = group.acquire(7, 5.0).index();
-  group.retire(home);
-  EXPECT_TRUE(group.retired(home));
-  group.retire(home);  // idempotent
-  // The sticky mapping died with the engine: dispatches re-route.
-  for (int i = 0; i < 4; ++i)
-    EXPECT_NE(group.acquire(7, 5.0).index(), home);
+TEST(EngineGroup, RetiredEngineFallsBackToLiveEngines) {
+  EngineGroup group({.engines = 3});
+  group.retire(1);
+  EXPECT_TRUE(group.retired(1));
+  group.retire(1);  // idempotent
+  EXPECT_FALSE(group.retired(0));
+  // The retired engine is idle and has the fewest dispatches — the best
+  // least-loaded candidate — yet never receives one.
+  for (int i = 0; i < 6; ++i) EXPECT_NE(group.acquire(1.0).index(), 1u);
   const auto stats = group.stats();
-  EXPECT_TRUE(stats[home].retired);
-
-  // Round-robin skips a retired engine without losing fairness among the
-  // survivors.
-  EngineGroup rr({.engines = 3, .routing = Routing::kRoundRobin});
-  rr.retire(1);
-  for (int i = 0; i < 6; ++i)
-    EXPECT_NE(rr.acquire(static_cast<std::uint64_t>(i), 1.0).index(), 1u);
-  EXPECT_EQ(rr.stats()[0].dispatches, 3u);
-  EXPECT_EQ(rr.stats()[2].dispatches, 3u);
+  EXPECT_TRUE(stats[1].retired);
+  EXPECT_EQ(stats[0].dispatches, 3u);
+  EXPECT_EQ(stats[1].dispatches, 0u);
+  EXPECT_EQ(stats[2].dispatches, 3u);
 
   // Every engine retired: acquire still succeeds (a draining service
   // must make progress), falling back over the retired pool.
-  rr.retire(0);
-  rr.retire(2);
-  const EngineGroup::Lease last = rr.acquire(9, 1.0);
+  group.retire(0);
+  group.retire(2);
+  const EngineGroup::Lease last = group.acquire(1.0);
   EXPECT_TRUE(last);
+}
+
+TEST(EngineGroup, LiveEnginesSkipRetiredUntilNoneRemain) {
+  EngineGroup group({.engines = 3});
+  EXPECT_EQ(group.live_engines().size(), 3u);
+  group.retire(1);
+  const auto live = group.live_engines();
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[0], group.engine(0));
+  EXPECT_EQ(live[1], group.engine(2));
+  group.retire(0);
+  group.retire(2);
+  // All retired: the fleet falls back to the full pool (never-fail rule).
+  EXPECT_EQ(group.live_engines().size(), 3u);
 }
 
 TEST(EngineGroup, ShutdownWhileBusyKeepsLeasedEnginesAlive) {
   EngineGroup::Lease survivor;
   {
     EngineGroup group({.engines = 2});
-    survivor = group.acquire(1, 3.0);
+    survivor = group.acquire(3.0);
     group.retire(survivor.index());  // "failure" with the lease still out
   }  // the whole group is gone; the lease holds the engine shared_ptr
   ASSERT_TRUE(survivor);
@@ -147,33 +138,30 @@ TEST(EngineGroup, ShutdownWhileBusyKeepsLeasedEnginesAlive) {
 }
 
 TEST(EngineGroup, ConcurrentAcquiresBalanceAndNeverLeakLoad) {
-  // The TSan-facing case: many threads acquire/release against one group
-  // under every policy; afterwards all load is released and the dispatch
-  // counters add up.
-  for (const Routing routing : {Routing::kRoundRobin, Routing::kLeastLoaded,
-                                Routing::kAffinity}) {
-    EngineGroup group({.engines = 3, .routing = routing});
-    std::vector<std::thread> threads;
-    threads.reserve(4);
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&group, t] {
-        for (int i = 0; i < 25; ++i) {
-          const EngineGroup::Lease lease = group.acquire(
-              static_cast<std::uint64_t>((t * 25 + i) % 5), 2.0);
-          device::Device stream(lease.engine());
-          stream.launch(4, [](std::int64_t) {});
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    std::uint64_t dispatches = 0;
-    for (const EngineGroupEngineStats& s : group.stats()) {
-      dispatches += s.dispatches;
-      EXPECT_DOUBLE_EQ(s.load, 0.0);
-      EXPECT_EQ(s.device.streams_opened, s.device.streams_retired);
-    }
-    EXPECT_EQ(dispatches, 100u) << routing_name(routing);
+  // The TSan-facing case: many threads acquire/release against one group;
+  // afterwards all load is released and the dispatch counters add up.
+  EngineGroup group({.engines = 3});
+  std::vector<std::thread> threads;
+  threads.reserve(4);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&group, t] {
+      for (int i = 0; i < 25; ++i) {
+        // Every fifth dispatch pins engine 0, like a sharded one.
+        const EngineGroup::Lease lease =
+            group.acquire(2.0, (t * 25 + i) % 5 == 0 ? 0 : -1);
+        device::Device stream(lease.engine());
+        stream.launch(4, [](std::int64_t) {});
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
+  std::uint64_t dispatches = 0;
+  for (const EngineGroupEngineStats& s : group.stats()) {
+    dispatches += s.dispatches;
+    EXPECT_DOUBLE_EQ(s.load, 0.0);
+    EXPECT_EQ(s.device.streams_opened, s.device.streams_retired);
+  }
+  EXPECT_EQ(dispatches, 100u);
 }
 
 }  // namespace

@@ -41,7 +41,9 @@ TEST(Harness, BuildSuiteHonoursStride) {
 TEST(Harness, RunnersReportOkAndConsistentCardinalities) {
   const auto& meta = graph::paper_instances()[3];  // flickr analogue
   const BuiltInstance bi = build_instance(meta, tiny_options());
-  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 4});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kConcurrent,
+                      .num_threads = 4});
 
   const AlgoResult gpr = run_solver("g-pr-shr", dev, bi);
   const AlgoResult ghkdw = run_solver("g-hkdw", dev, bi);
@@ -100,7 +102,8 @@ TEST(Harness, ModeledTimeScalesWithInstanceSize) {
   const BuiltInstance bi_large = build_instance(meta, large);
   // Sequential device: deterministic loop counts, so the comparison is
   // not subject to race-dependent variance.
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   const AlgoResult r_small = run_solver("g-pr-shr", dev, bi_small);
   const AlgoResult r_large = run_solver("g-pr-shr", dev, bi_large);
   EXPECT_TRUE(r_small.ok);

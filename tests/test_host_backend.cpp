@@ -9,9 +9,9 @@
 //    no model time; sim streams do the reverse; engine stats fold both;
 //  * backend parity — every device solver produces reference-maximum
 //    cardinalities on both backends over randomized generator instances;
-//  * backend-fit routing — `serve::EngineGroup` places tiny dispatches on
-//    the fewest-lane engine and skewed / balanced-kernel / huge dispatches
-//    on the host engine with the most workers, in a mixed pool.
+//  * mixed pools — a `serve::MatchingService` over sim and host engines
+//    side by side serves reference-maximum results, and its
+//    `serve::EngineGroup` reports each engine's descriptor.
 //
 // The concurrent-stream tests are written to be meaningful under TSan:
 // several host threads drive streams of one shared host engine at once.
@@ -35,6 +35,7 @@
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
 #include "serve/engine_group.hpp"
+#include "serve/service.hpp"
 
 namespace bpm {
 namespace {
@@ -314,106 +315,53 @@ TEST(HostBackendParity, SequentialHostModeStaysDeterministicAndCorrect) {
   EXPECT_EQ(dev.modeled_ms(), 0.0);
 }
 
-// ------------------------------------------------- backend-fit routing ----
+// ----------------------------------------------------------- mixed pool ----
 
-serve::EngineGroupOptions mixed_pool() {
-  serve::EngineGroupOptions opt;
-  opt.routing = serve::Routing::kBackendFit;
-  opt.descriptors = {
-      // A tiny sim engine (fewest lanes: the tiny-dispatch target — fewer
-      // even than the host pool's resolved worker count), a full-width
-      // sim engine, and the host engine (the heavy target).
+std::vector<EngineDescriptor> mixed_pool() {
+  return {
       EngineDescriptor{.backend = Backend::kSim, .threads = 1, .lanes = 2},
       EngineDescriptor{.backend = Backend::kSim, .threads = 1, .lanes = 448},
       EngineDescriptor{.backend = Backend::kHost, .threads = 4},
   };
-  return opt;
 }
 
-TEST(HostBackendFit, TinyDispatchesLandOnTheFewestLanes) {
-  serve::EngineGroup group(mixed_pool());
-  ASSERT_EQ(group.size(), 3u);
-  const auto lease = group.acquire(serve::DispatchProfile{
-      .fingerprint = 1, .estimated_work = 100.0, .edges = 50});
-  EXPECT_EQ(lease.index(), 0u);  // the 2-lane sim engine
-  EXPECT_EQ(lease.engine()->backend(), Backend::kSim);
+TEST(HostMixedPool, ServiceServesReferenceResultsOnSimAndHostEngines) {
+  serve::ServiceOptions options;
+  options.workers = 2;
+  options.engine_descriptors = mixed_pool();
+  serve::MatchingService svc(options);
+  std::vector<std::size_t> handles;
+  std::vector<graph::index_t> want;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    BipartiteGraph g = gen::skewed_hubs(90, 110, 3, 0.3, 2.0, seed);
+    want.push_back(matching::reference_maximum_cardinality(g));
+    handles.push_back(
+        svc.add_instance("mixed-" + std::to_string(seed), std::move(g))
+            .handle);
+  }
+  std::vector<serve::Submission> subs;
+  std::vector<graph::index_t> expected;
+  for (const char* spec : {"g-pr-shr", "g-pr-wb"})
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      subs.push_back(svc.submit(
+          {.instance = handles[i], .spec = SolverSpec::parse(spec)}));
+      expected.push_back(want[i]);
+    }
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    ASSERT_TRUE(subs[i].accepted) << subs[i].reason;
+    const serve::Response r = subs[i].future.get();
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.stats.cardinality, expected[i]) << "request " << i;
+  }
+  // Least-loaded spreads a cold pool, so more than one engine served.
+  unsigned used = 0;
+  for (const serve::EngineGroupEngineStats& e : svc.engine_group().stats())
+    used += e.dispatches > 0 ? 1 : 0;
+  EXPECT_GE(used, 2u);
 }
 
-TEST(HostBackendFit, SkewedAndBalancedDispatchesLandOnTheHostEngine) {
-  serve::EngineGroup group(mixed_pool());
-  const auto skewed = group.acquire(serve::DispatchProfile{
-      .fingerprint = 2, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0});
-  EXPECT_EQ(skewed.engine()->backend(), Backend::kHost);
-
-  const auto balanced = group.acquire(serve::DispatchProfile{
-      .fingerprint = 3, .estimated_work = 5e5, .edges = 100'000,
-      .balanced_kernels = true});
-  EXPECT_EQ(balanced.engine()->backend(), Backend::kHost);
-
-  const auto huge = group.acquire(serve::DispatchProfile{
-      .fingerprint = 4, .estimated_work = 5e7, .edges = 10'000'000});
-  EXPECT_EQ(huge.engine()->backend(), Backend::kHost);
-}
-
-TEST(HostBackendFit, MediumDispatchesFallBackToLeastLoaded) {
-  serve::EngineGroup group(mixed_pool());
-  // Occupy engine 0 so the fallback has a load difference to see.
-  const auto held = group.acquire(serve::DispatchProfile{
-      .fingerprint = 5, .estimated_work = 1e6, .edges = 100});
-  const auto medium = group.acquire(serve::DispatchProfile{
-      .fingerprint = 6, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 1.1});
-  EXPECT_NE(medium.index(), held.index());
-}
-
-TEST(HostBackendFit, RetiredHostEngineFallsBackToLiveEngines) {
-  serve::EngineGroup group(mixed_pool());
-  group.retire(2);  // the host engine
-  const auto skewed = group.acquire(serve::DispatchProfile{
-      .fingerprint = 7, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0});
-  // The heavy pick prefers host, but never routes to a retired engine:
-  // among live sim engines it wants the most lanes.
-  EXPECT_EQ(skewed.index(), 1u);
-}
-
-TEST(HostBackendFit, PreferredEngineOverridesThePolicyPick) {
-  serve::EngineGroup group(mixed_pool());
-  // A skewed heavy dispatch would go to the host engine (2) — but a
-  // sharded dispatch pins its coordinator on shard 0's engine.
-  const auto pinned = group.acquire(serve::DispatchProfile{
-      .fingerprint = 8, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0, .preferred_engine = 0});
-  EXPECT_EQ(pinned.index(), 0u);
-  // Retired or out-of-range preferences fall back to the policy pick.
-  group.retire(0);
-  const auto fallback = group.acquire(serve::DispatchProfile{
-      .fingerprint = 9, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0, .preferred_engine = 0});
-  EXPECT_EQ(fallback.index(), 2u);
-  const auto bogus = group.acquire(serve::DispatchProfile{
-      .fingerprint = 10, .estimated_work = 5e5, .edges = 100'000,
-      .degree_skew = 12.0, .preferred_engine = 99});
-  EXPECT_EQ(bogus.index(), 2u);
-}
-
-TEST(HostBackendFit, LiveEnginesSkipRetiredUntilNoneRemain) {
-  serve::EngineGroup group(mixed_pool());
-  EXPECT_EQ(group.live_engines().size(), 3u);
-  group.retire(1);
-  const auto live = group.live_engines();
-  ASSERT_EQ(live.size(), 2u);
-  EXPECT_EQ(live[0], group.engine(0));
-  EXPECT_EQ(live[1], group.engine(2));
-  group.retire(0);
-  group.retire(2);
-  // All retired: the fleet falls back to the full pool (never-fail rule).
-  EXPECT_EQ(group.live_engines().size(), 3u);
-}
-
-TEST(HostBackendFit, StatsReportEachEngineDescriptor) {
-  serve::EngineGroup group(mixed_pool());
+TEST(HostMixedPool, StatsReportEachEngineDescriptor) {
+  serve::EngineGroup group({.descriptors = mixed_pool()});
   const auto stats = group.stats();
   ASSERT_EQ(stats.size(), 3u);
   EXPECT_EQ(stats[0].descriptor.backend, Backend::kSim);

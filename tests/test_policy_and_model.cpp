@@ -58,7 +58,8 @@ TEST(RelabelPolicy, RoundsToNearest) {
 // ----------------------------------------------------------- time model ----
 
 TEST(DeviceModel, ChargesLaunchLatencyPerLaunch) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   EXPECT_DOUBLE_EQ(dev.modeled_ms(), 0.0);
   dev.launch(0, [](std::int64_t) {});
   const double one_launch = dev.modeled_ms();
@@ -68,7 +69,8 @@ TEST(DeviceModel, ChargesLaunchLatencyPerLaunch) {
 }
 
 TEST(DeviceModel, ChargesItems) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   dev.launch(1'000'000, [](std::int64_t) {});
   const device::DeviceModel m;
   const double want_ms =
@@ -77,7 +79,8 @@ TEST(DeviceModel, ChargesItems) {
 }
 
 TEST(DeviceModel, ChargesAccountedWork) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   dev.launch_accounted(10, [](std::int64_t) -> std::int64_t { return 100; });
   const device::DeviceModel m;
   // A 10-thread grid cannot saturate the 448-lane device: each item is
@@ -95,7 +98,8 @@ TEST(DeviceModel, StragglerLaneDominatesSkewedWork) {
   // contiguous-item lane holding the hub bounds the launch from below —
   // exactly the serialization a one-thread-per-column push kernel
   // suffers on a degree-skewed graph.
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   const std::int64_t n = 8960;  // 20 items per model lane
   dev.launch_accounted(n, [](std::int64_t i) -> std::int64_t {
     return i == 0 ? 100000 : 1;
@@ -112,7 +116,8 @@ TEST(DeviceModel, StragglerLaneDominatesSkewedWork) {
 }
 
 TEST(DeviceModel, LanesZeroDisablesStragglerTerm) {
-  device::DeviceOptions opt{.mode = device::ExecMode::kSequential};
+  device::DeviceOptions opt{.backend = device::Backend::kSim,
+                            .mode = device::ExecMode::kSequential};
   opt.model.lanes = 0;
   device::Device dev(opt);
   dev.launch_accounted(10, [](std::int64_t) -> std::int64_t { return 100; });
@@ -124,7 +129,8 @@ TEST(DeviceModel, LanesZeroDisablesStragglerTerm) {
 }
 
 TEST(DeviceModel, ChargeWorkWithoutLaunch) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   dev.charge_work(1000);
   const device::DeviceModel m;
   EXPECT_NEAR(dev.modeled_ms(), 1000 * m.ns_per_work * 1e-6, 1e-12);
@@ -135,7 +141,8 @@ TEST(DeviceModel, AccountedWorkIdenticalAcrossModes) {
   // The work tally is algorithmic, so sequential and concurrent execution
   // must model identically for a deterministic kernel.
   auto run = [](device::ExecMode mode) {
-    device::Device dev({.mode = mode, .num_threads = 4});
+    device::Device dev({.backend = device::Backend::kSim,
+                      .mode = mode, .num_threads = 4});
     dev.launch_accounted(1000, [](std::int64_t i) -> std::int64_t {
       return i % 7;
     });
@@ -146,7 +153,8 @@ TEST(DeviceModel, AccountedWorkIdenticalAcrossModes) {
 }
 
 TEST(DeviceModel, ResetClearsAccumulator) {
-  device::Device dev({.mode = device::ExecMode::kSequential});
+  device::Device dev({.backend = device::Backend::kSim,
+                      .mode = device::ExecMode::kSequential});
   dev.launch(100, [](std::int64_t) {});
   EXPECT_GT(dev.modeled_ms(), 0.0);
   dev.reset_modeled_time();

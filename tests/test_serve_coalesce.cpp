@@ -6,7 +6,7 @@
 // priorities, deadlines (generous on purpose: a fired deadline would make
 // the comparison timing-dependent), and duplicate submissions.  Includes
 // a deterministic duplicate-burst coalescing check and a TSan-targeted
-// stress case (many clients, affinity routing, ledger churn); both this
+// stress case (many clients, three engines, ledger churn); both this
 // suite and test_engine_group run in the CI TSan job.
 
 #include <gtest/gtest.h>
@@ -155,15 +155,12 @@ TEST(ServeConformance, CoalescingMultiEngineMatchesSequentialReference) {
     reference.coalesce = false;  // engines = 1: the serial baseline
     const std::vector<Served> want = run_stream(reference, stream);
 
-    for (const Routing routing : {Routing::kRoundRobin,
-                                  Routing::kLeastLoaded,
-                                  Routing::kAffinity}) {
+    for (const unsigned engines : {1u, 3u}) {
       ServiceOptions options;
       options.workers = 3;
       options.queue_depth = stream.size() + 1;
       options.cache = std::make_shared<ResultCache>();
-      options.engines = 3;
-      options.routing = routing;
+      options.engines = engines;
       options.coalesce = true;
       options.coalesce_limit = 6;
       const std::vector<Served> got = run_stream(options, stream);
@@ -171,10 +168,10 @@ TEST(ServeConformance, CoalescingMultiEngineMatchesSequentialReference) {
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].ok, want[i].ok)
-            << "seed " << seed << " routing " << routing_name(routing)
+            << "seed " << seed << " engines " << engines
             << " request " << i << " (" << stream[i].spec << ")";
         EXPECT_EQ(got[i].cardinality, want[i].cardinality)
-            << "seed " << seed << " routing " << routing_name(routing)
+            << "seed " << seed << " engines " << engines
             << " request " << i << " (" << stream[i].spec << ")";
       }
     }
@@ -247,15 +244,14 @@ TEST(ServeConformance, DuplicateBurstCoalescesIntoOneSolve) {
 
 TEST(ServeConformance, TSanStressClientsHammerCoalescingMultiEngine) {
   // The race-hunting configuration: 4 client threads submitting mixed
-  // duplicate-heavy traffic against 4 workers x 3 engines with affinity
-  // routing, a sharded cache, an aggressively small completed-ticket
-  // ledger (GC races with polling), and concurrent poll() calls.
+  // duplicate-heavy traffic against 4 workers x 3 engines, a sharded
+  // cache, an aggressively small completed-ticket ledger (GC races with
+  // polling), and concurrent poll() calls.
   ServiceOptions options;
   options.workers = 4;
   options.queue_depth = 512;
   options.cache = std::make_shared<ResultCache>(CacheOptions{.shards = 4});
   options.engines = 3;
-  options.routing = Routing::kAffinity;
   options.coalesce = true;
   options.coalesce_limit = 8;
   options.completed_ticket_retention = 16;

@@ -275,6 +275,24 @@ TEST(ServeSession, NonFiniteSolverOptionAnswersTypedError) {
   EXPECT_EQ(session.errors(), 1u);
 }
 
+TEST(ServeSession, OutOfRangeRelabelKAnswersBadArgument) {
+  // A finite but huge k would stop G-PR relabelling — a one-token work
+  // amplifier — so it is refused at the boundary like a non-finite one.
+  MatchingService service(tiny_service_options());
+  SessionContext context(service);
+  Session session(context);
+  auto lines = run(session, "gen x planted 50 1.0 3");
+  ASSERT_TRUE(lines[0].starts_with("instance x"));
+  for (const char* line :
+       {"submit x g-pr-shr:k=1e9", "submit x g-pr-shr:k=1e-9"}) {
+    lines = run(session, line);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_TRUE(lines[0].starts_with("error code=bad-argument")) << lines[0];
+    EXPECT_NE(lines[0].find("'k'"), std::string::npos) << lines[0];
+  }
+  EXPECT_EQ(session.errors(), 2u);
+}
+
 TEST(ServeSession, FuzzedLinesNeverThrow) {
   MatchingService service(tiny_service_options());
   SessionContext context(service);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -129,37 +130,48 @@ TEST(SolverRegistry, SetOptionAcceptsKnownRejectsUnknownKeys) {
 // valid maximum matching (independently certified), heuristics a valid
 // matching of at most maximum cardinality.
 TEST(SolverRegistry, EverySolverAgreesOnTheGeneratorSuite) {
-  device::Device dev({.mode = device::ExecMode::kConcurrent, .num_threads = 4});
-  const SolveContext ctx{.device = &dev, .threads = 4};
+  for (const device::Backend backend :
+       {device::Backend::kSim, device::Backend::kHost}) {
+    device::Device dev({.backend = backend,
+                        .mode = device::ExecMode::kConcurrent,
+                        .num_threads = 4});
+    const SolveContext ctx{.device = &dev, .threads = 4};
+    const std::string_view on = device::backend_name(backend);
 
-  for (const BipartiteGraph& g : generator_suite()) {
-    const matching::Matching init = matching::cheap_matching(g);
-    const index_t maximum = matching::reference_maximum_cardinality(g);
-    for (const std::string& name : SolverRegistry::instance().names()) {
-      const auto solver = SolverRegistry::instance().create(name);
-      const SolveResult result = solver->run(ctx, g, init);
-      EXPECT_TRUE(result.matching.is_valid(g))
-          << name << ": " << result.matching.first_violation(g);
-      EXPECT_EQ(result.stats.cardinality, result.matching.cardinality())
-          << name;
-      if (solver->caps().exact) {
-        EXPECT_EQ(result.stats.cardinality, maximum) << name;
-        EXPECT_TRUE(matching::is_maximum(g, result.matching)) << name;
-      } else {
-        EXPECT_LE(result.stats.cardinality, maximum) << name;
-      }
-      EXPECT_GE(result.stats.wall_ms, 0.0) << name;
-      if (name == "auto") {
-        // Delegates per instance: device stats are whatever the resolved
-        // concrete solver reported (a sequential pick has zero launches);
-        // the choice itself is recorded in the detail string.
-        EXPECT_EQ(result.stats.detail.rfind("auto -> ", 0), 0u)
-            << result.stats.detail;
-      } else if (solver->caps().needs_device) {
-        EXPECT_GT(result.stats.modeled_ms, 0.0) << name;
-        EXPECT_GT(result.stats.device_launches, 0) << name;
-      } else {
-        EXPECT_EQ(result.stats.modeled_ms, 0.0) << name;
+    for (const BipartiteGraph& g : generator_suite()) {
+      const matching::Matching init = matching::cheap_matching(g);
+      const index_t maximum = matching::reference_maximum_cardinality(g);
+      for (const std::string& name : SolverRegistry::instance().names()) {
+        const auto solver = SolverRegistry::instance().create(name);
+        const SolveResult result = solver->run(ctx, g, init);
+        EXPECT_TRUE(result.matching.is_valid(g))
+            << name << " on " << on << ": "
+            << result.matching.first_violation(g);
+        EXPECT_EQ(result.stats.cardinality, result.matching.cardinality())
+            << name << " on " << on;
+        if (solver->caps().exact) {
+          EXPECT_EQ(result.stats.cardinality, maximum) << name << " on " << on;
+          EXPECT_TRUE(matching::is_maximum(g, result.matching))
+              << name << " on " << on;
+        } else {
+          EXPECT_LE(result.stats.cardinality, maximum) << name << " on " << on;
+        }
+        EXPECT_GE(result.stats.wall_ms, 0.0) << name << " on " << on;
+        if (name == "auto") {
+          // Delegates per instance: device stats are whatever the resolved
+          // concrete solver reported (a sequential pick has zero
+          // launches); the choice itself is recorded in the detail string.
+          EXPECT_EQ(result.stats.detail.rfind("auto -> ", 0), 0u)
+              << result.stats.detail;
+        } else if (solver->caps().needs_device) {
+          // Only the sim charges modeled time; the host backend measures
+          // wall time instead.
+          if (backend == device::Backend::kSim)
+            EXPECT_GT(result.stats.modeled_ms, 0.0) << name;
+          EXPECT_GT(result.stats.device_launches, 0) << name << " on " << on;
+        } else {
+          EXPECT_EQ(result.stats.modeled_ms, 0.0) << name << " on " << on;
+        }
       }
     }
   }

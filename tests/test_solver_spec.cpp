@@ -114,17 +114,27 @@ TEST(SolverSpec, MalformedOptionValueFailsAtInstantiate) {
 }
 
 TEST(SolverSpec, NumericOptionsRejectNonFiniteValuesAndTrailingJunk) {
+  // G-PR's k is also bounded to [0.01, 100]: outside it G-PR either never
+  // relabels again or relabels every loop, a one-token work amplifier.
   for (const char* spec :
        {"g-pr-shr:k=nan", "g-pr-shr:k=inf", "g-pr-shr:k=-inf",
         "g-pr-shr:k=1abc", "g-pr-shr:k=1.5x", "g-pr-shr:k= 1",
         "g-pr-shr:balance-skew=nan", "seq-pr:k=nan", "seq-pr:k=inf",
-        "seq-pr:k=2junk", "auto:explore=nan"})
+        "seq-pr:k=2junk", "auto:explore=nan", "g-pr-shr:k=1e9",
+        "g-pr-shr:k=1e-9", "g-pr-shr:k=100.5", "g-pr-shr:k=0.005",
+        "g-pr-shr:k=0", "g-pr-shr:k=-0.5", "g-pr-wb:k=1e9",
+        "g-pr-sh:k=1e-9"})
     EXPECT_THROW((void)SolverSpec::parse(spec).instantiate(),
                  std::invalid_argument)
         << spec;
-  for (const char* spec : {"g-pr-shr:k=1", "g-pr-shr:k=1.0", "g-pr-shr:k=1e-1",
-                           "g-pr-shr:k=-0.5", "seq-pr:k=0.25",
-                           "auto:explore=0.5"})
+  // The k bounds themselves, the paper's adaptive {0.3..2} and fixed
+  // {10, 50} sweeps, and seq-pr's unbounded k (not an amplifier there).
+  for (const char* spec :
+       {"g-pr-shr:k=1", "g-pr-shr:k=1.0", "g-pr-shr:k=1e-1", "seq-pr:k=-0.5",
+        "seq-pr:k=0.25", "auto:explore=0.5", "g-pr-shr:k=0.01",
+        "g-pr-shr:k=100", "g-pr-shr:k=0.3", "g-pr-shr:k=2",
+        "g-pr-shr:strategy=fix,k=10", "g-pr-shr:strategy=fix,k=50",
+        "seq-pr:k=1e9"})
     EXPECT_NO_THROW((void)SolverSpec::parse(spec).instantiate()) << spec;
 }
 

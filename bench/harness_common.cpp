@@ -12,7 +12,7 @@
 
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/verify.hpp"
 
 namespace bpm::bench {
 
@@ -108,7 +108,11 @@ SuiteOptions suite_options_from_cli(const CliParser& cli) {
   return opt;
 }
 
-void compute_instance_features(BuiltInstance& bi) {
+void prepare_instance(BuiltInstance& bi) {
+  bi.init = matching::cheap_matching(bi.g);
+  bi.initial_cardinality = bi.init.cardinality();
+  bi.maximum_cardinality =
+      matching::certified_maximum_cardinality(bi.g, bi.init);
   bi.features = policy::compute_features(bi.g, bi.initial_cardinality);
 }
 
@@ -116,13 +120,7 @@ BuiltInstance build_instance(const graph::Instance& meta,
                              const SuiteOptions& opt) {
   BuiltInstance bi{meta, meta.build(opt.scale, opt.seed + static_cast<std::uint64_t>(meta.id)),
                    {}, 0, 0, {}};
-  bi.init = matching::cheap_matching(bi.g);
-  bi.initial_cardinality = bi.init.cardinality();
-  // Ground truth via Hopcroft–Karp (thoroughly tested against the O(V·E)
-  // reference in tests/); the quadratic reference would dominate harness
-  // time at bench scales.
-  bi.maximum_cardinality = matching::hopcroft_karp(bi.g, bi.init).cardinality();
-  compute_instance_features(bi);
+  prepare_instance(bi);
   return bi;
 }
 
@@ -163,11 +161,7 @@ std::vector<BuiltInstance> build_massive_suite(const SuiteOptions& opt) {
     bi.meta.paper.cols = m.g.num_cols();
     bi.meta.paper.edges = m.g.num_edges();
     bi.g = std::move(m.g);
-    bi.init = matching::cheap_matching(bi.g);
-    bi.initial_cardinality = bi.init.cardinality();
-    bi.maximum_cardinality =
-        matching::hopcroft_karp(bi.g, bi.init).cardinality();
-    compute_instance_features(bi);
+    prepare_instance(bi);
     out.push_back(std::move(bi));
   }
   return out;
@@ -225,11 +219,7 @@ std::vector<PolicyInstance> build_policy_suite(graph::index_t n,
     BuiltInstance bi;
     bi.meta.name = s.name;
     bi.g = s.make();
-    bi.init = matching::cheap_matching(bi.g);
-    bi.initial_cardinality = bi.init.cardinality();
-    bi.maximum_cardinality =
-        matching::hopcroft_karp(bi.g, bi.init).cardinality();
-    compute_instance_features(bi);
+    prepare_instance(bi);
     out.push_back({s.suite, std::move(bi)});
   }
   if (structured_scale > 0.0) {

@@ -108,20 +108,22 @@ struct BuiltInstance {
   /// Policy features of the instance (size, density, skew, deficiency) —
   /// the same `policy::compute_features` vector the serving layer caches
   /// at admission, recorded into every `--json` record so offline tooling
-  /// can correlate timings with instance shape.  Filled by
-  /// `build_instance` / `build_massive_suite`; harnesses that hand-build
-  /// a BuiltInstance call `compute_instance_features` after filling
-  /// `g`/`init`.
+  /// can correlate timings with instance shape.
   policy::InstanceFeatures features;
 };
 
-/// Fills `bi.features` from its graph and init (cheap, O(cols)).
-void compute_instance_features(BuiltInstance& bi);
+/// Fills everything a BuiltInstance derives from its graph `bi.g`: the
+/// greedy init and its cardinality, the certified maximum cardinality
+/// (`matching::certified_maximum_cardinality`, the same ground truth
+/// pipeline admission computes), and the policy features.  Every suite
+/// builder calls this; harnesses that hand-build a BuiltInstance call it
+/// after filling `g`.
+void prepare_instance(BuiltInstance& bi);
 
 /// Generates the (strided) instance suite at the requested scale and
 /// computes the reference maximum cardinality for result checking.
 /// Builds `opt.jobs` instances concurrently (generation, init, and the
-/// Hopcroft–Karp ground truth dominate harness start-up); the returned
+/// certified ground truth dominate harness start-up); the returned
 /// order and contents are identical at any concurrency.
 [[nodiscard]] std::vector<BuiltInstance> build_suite(const SuiteOptions& opt);
 

@@ -26,8 +26,6 @@
 
 #include "graph/generators.hpp"
 #include "harness_common.hpp"
-#include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -173,11 +171,7 @@ int main(int argc, char** argv) {
     BuiltInstance bi;
     bi.meta.name = inst.name;
     bi.g = inst.make(n, opt.seed);
-    bi.init = matching::cheap_matching(bi.g);
-    bi.initial_cardinality = bi.init.cardinality();
-    bi.maximum_cardinality =
-        matching::hopcroft_karp(bi.g, bi.init).cardinality();
-    compute_instance_features(bi);
+    prepare_instance(bi);
     if (opt.verbose)
       std::cout << "  built " << inst.name << ": " << bi.g.describe() << '\n';
 

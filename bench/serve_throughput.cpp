@@ -4,9 +4,12 @@
 // Closed loop (always): for each --inflight level L, L client threads
 // submit-and-wait over a fixed request mix (suite instances × --algo
 // specs, round-robin).  Reports wall time, requests/s, speedup vs the
-// serialized L=1 baseline, and latency percentiles.  Every response is
-// checked against a sequential `MatchingPipeline` reference run of the
-// same jobs — concurrency must never change a result.
+// serialized L=1 baseline, and latency percentiles.  With --reps N > 1,
+// one untimed warm-up pass runs first, then N passes per level, and the
+// table shows medians with the IQR of req/s and p99 — what tells a real
+// change from run-to-run spread.  Every response is checked against a
+// sequential `MatchingPipeline` reference run of the same jobs —
+// concurrency must never change a result.
 //
 // Cache phase (--cache-bytes > 0): replays the mix on a cache-backed
 // service (cold pass, then warm pass = 100% hits), snapshots the cache,
@@ -37,6 +40,7 @@
 // send `shutdown` at the end so that server exits).
 //
 //   serve_throughput --scale 0.002 --inflight 1,2,4,8 --requests 96
+//   serve_throughput --scale 0.002 --inflight 1,4 --reps 7
 //   serve_throughput --scale 0.002 --engines 4 --coalesce --dup 6
 //   serve_throughput --scale 0.002 --open-rate 200 --queue-depth 16
 //   serve_throughput --socket-clients 4 --socket-requests 6
@@ -47,6 +51,7 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -228,6 +233,10 @@ int main(int argc, char** argv) {
   cli.add_option("inflight", "closed-loop client counts (= service workers)",
                  "1,2,4,8");
   cli.add_option("requests", "requests per closed-loop level", "96");
+  cli.add_option("reps",
+                 "closed-loop passes per level, after one warm-up pass when "
+                 "> 1; the table reports medians and IQRs",
+                 "1");
   cli.add_option("cache-bytes",
                  "cache budget for the persistence phase (0 = skip)",
                  std::to_string(std::size_t{32} << 20));
@@ -263,6 +272,8 @@ int main(int argc, char** argv) {
     opt = suite_options_from_cli(cli);
     pool.engines = static_cast<unsigned>(cli.get_int("engines"));
     pool.coalesce = cli.get_flag("coalesce");
+    if (cli.get_int("reps") < 1)
+      throw std::invalid_argument("option 'reps' must be at least 1");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -294,9 +305,11 @@ int main(int argc, char** argv) {
         (j % opt.algos.size()) * suite.size() + job.instance;
     want[mix_index] = {job.stats.cardinality, job.ok};
   }
+  const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   std::cout << "# mix: " << suite.size() << " instances x "
             << opt.algos.size() << " specs, " << requests
-            << " requests per level; engines=" << pool.engines
+            << " requests per level, " << reps
+            << " pass(es) per level; engines=" << pool.engines
             << " coalesce=" << (pool.coalesce ? "on" : "off")
             << "; reference " << (reference.all_ok() ? "ok" : "FAILED")
             << "\n\n";
@@ -304,27 +317,46 @@ int main(int argc, char** argv) {
   bool all_ok = reference.all_ok();
 
   // ---- closed loop: throughput and latency vs in-flight requests ----------
-  Table table({"inflight", "wall_ms", "req_per_s", "speedup_vs_serial",
-               "p50_ms", "p90_ms", "p99_ms", "bad"},
+  Table table({"inflight", "wall_ms", "req_per_s", "req_per_s_iqr",
+               "speedup_vs_serial", "p50_ms", "p90_ms", "p99_ms", "p99_iqr",
+               "bad"},
               2);
-  double serial_wall = 0.0;
-  for (const unsigned level : levels) {
+  // One pass: a fresh service at `level` in flight; returns its wall ms
+  // and request latencies.
+  std::atomic<std::size_t> bad{0};
+  const auto pass = [&](unsigned level, std::vector<double>& lat) {
     serve::MatchingService service(
         service_options(opt, level, requests + 1, nullptr, pool));
     const Mix mix = register_suite(service, suite, opt);
-    std::atomic<std::size_t> bad{0};
     Timer timer;
-    const std::vector<double> lat =
-        closed_loop(service, mix, requests, level, want, bad);
-    const double wall = timer.elapsed_ms();
-    if (serial_wall == 0.0) serial_wall = wall;
-    all_ok &= bad.load() == 0;
-    table.add_row({static_cast<std::int64_t>(level), wall,
-                   static_cast<double>(requests) / (wall / 1e3),
-                   serial_wall / wall, percentile(lat, 50),
-                   percentile(lat, 90), percentile(lat, 99),
-                   static_cast<std::int64_t>(bad.load())});
+    lat = closed_loop(service, mix, requests, level, want, bad);
+    return timer.elapsed_ms();
+  };
+  const auto iqr = [](const std::vector<double>& v) {
+    return percentile(v, 75) - percentile(v, 25);
+  };
+  std::vector<double> lat;
+  if (reps > 1) (void)pass(levels.front(), lat);  // warm-up, untimed
+  double serial_wall = 0.0;
+  for (const unsigned level : levels) {
+    const std::size_t bad_before = bad.load();
+    std::vector<double> wall, rps, p50, p90, p99;
+    for (std::size_t r = 0; r < reps; ++r) {
+      wall.push_back(pass(level, lat));
+      rps.push_back(static_cast<double>(requests) / (wall.back() / 1e3));
+      p50.push_back(percentile(lat, 50));
+      p90.push_back(percentile(lat, 90));
+      p99.push_back(percentile(lat, 99));
+    }
+    const double wall_ms = percentile(wall, 50);
+    if (serial_wall == 0.0) serial_wall = wall_ms;
+    table.add_row({static_cast<std::int64_t>(level), wall_ms,
+                   percentile(rps, 50), iqr(rps), serial_wall / wall_ms,
+                   percentile(p50, 50), percentile(p90, 50),
+                   percentile(p99, 50), iqr(p99),
+                   static_cast<std::int64_t>(bad.load() - bad_before)});
   }
+  all_ok &= bad.load() == 0;
   if (opt.csv)
     std::cout << table.to_csv();
   else

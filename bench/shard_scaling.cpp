@@ -29,8 +29,6 @@
 #include "device/device.hpp"
 #include "graph/generators.hpp"
 #include "harness_common.hpp"
-#include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -151,11 +149,7 @@ int main(int argc, char** argv) {
       BuiltInstance bi;
       bi.meta.name = s.name;
       bi.g = std::move(s.g);
-      bi.init = matching::cheap_matching(bi.g);
-      bi.initial_cardinality = bi.init.cardinality();
-      bi.maximum_cardinality =
-          matching::hopcroft_karp(bi.g, bi.init).cardinality();
-      compute_instance_features(bi);
+      prepare_instance(bi);
       instances.push_back({"skew", std::move(bi)});
     }
   }

@@ -7,6 +7,7 @@
 // nothing here is part of the public solver surface.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -134,7 +135,11 @@ inline std::int64_t loop_bound(const BipartiteGraph& g,
 class RelabelScheduler {
  public:
   RelabelScheduler(const BipartiteGraph& g, const GprOptions& options)
-      : options_(options), async_(g.num_rows(), g.num_cols()) {
+      : options_(options) {
+    // Only the overlapped relabel reads the shadow arrays; a synchronous
+    // run never allocates them.
+    if (options.concurrent_global_relabel)
+      async_.emplace(g.num_rows(), g.num_cols());
     iter_gr_ = options.initial_global_relabel
                    ? 0
                    : next_global_relabel_loop(options, /*max_level=*/8, 0);
@@ -162,7 +167,7 @@ class RelabelScheduler {
       return published;
     }
     timer.restart();
-    if (loop >= iter_gr_ && !async_.running()) {
+    if (loop >= iter_gr_ && !async_->running()) {
       if (dirty_completions_ >= kMaxDirtyRetries) {
         // Contention keeps invalidating the snapshots; pay for one
         // synchronous relabel to guarantee fresh labels.
@@ -185,17 +190,17 @@ class RelabelScheduler {
       if (obs::Tracer* tracer = dev.tracer(); tracer && tracer->enabled())
         tracer->instant("global-relabel-async-start", "phase",
                         obs::arg_json("loop", loop));
-      async_.start(dev, g, st);
+      async_->start(dev, g, st);
       ++stats.concurrent_relabels;
     }
-    if (async_.running()) {
+    if (async_->running()) {
       auto sp = obs::span(dev.tracer(), "global-relabel", "phase");
       if (sp) {
         sp.arg("loop", loop);
         sp.arg("async", true);
       }
       ++stats.gr_level_kernels;
-      if (async_.step(dev, g)) {
+      if (async_->step(dev, g)) {
         if (st.mu_dirty.is_raised()) {
           // Pushes rewired the matching mid-flight: the snapshot labels
           // may over-estimate and must be discarded (see
@@ -204,9 +209,9 @@ class RelabelScheduler {
           ++stats.async_discarded;
           ++dirty_completions_;
         } else {
-          async_.apply(dev, g, st);
+          async_->apply(dev, g, st);
           ++stats.global_relabels;
-          max_level_ = async_.max_level();
+          max_level_ = async_->max_level();
           stats.last_max_level = max_level_;
           iter_gr_ = next_global_relabel_loop(options_, max_level_, loop);
           dirty_completions_ = 0;
@@ -222,7 +227,7 @@ class RelabelScheduler {
   static constexpr int kMaxDirtyRetries = 2;
 
   const GprOptions& options_;
-  AsyncGlobalRelabel async_;
+  std::optional<AsyncGlobalRelabel> async_;
   std::int64_t iter_gr_ = 0;
   index_t max_level_ = 0;
   int dirty_completions_ = 0;

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/verify.hpp"
 #include "serve/result_cache.hpp"
 #include "util/timer.hpp"
 
@@ -128,10 +128,11 @@ PipelineInstance admit_instance(std::string name, graph::BipartiteGraph graph,
   inst.features = policy::compute_features(inst.graph,
                                            inst.initial_cardinality);
   if (options.verify)
-    // Ground truth once per instance via Hopcroft–Karp seeded with the
-    // shared init (tested against the independent reference in tests/).
+    // Ground truth once per instance: push-relabel from the shared init,
+    // certified maximum by a warm Hopcroft–Karp (tested against the
+    // independent reference in tests/).
     inst.maximum_cardinality =
-        matching::hopcroft_karp(inst.graph, inst.init).cardinality();
+        matching::certified_maximum_cardinality(inst.graph, inst.init);
   return inst;
 }
 

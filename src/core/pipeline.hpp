@@ -75,8 +75,10 @@ struct PipelineInstance {
   graph::BipartiteGraph graph;
   matching::Matching init;  ///< shared greedy init (see share_init)
   graph::index_t initial_cardinality = 0;
-  /// Reference maximum cardinality (computed once when verify is on;
-  /// -1 when verification is disabled).
+  /// Reference maximum cardinality, computed once when verify is on by
+  /// `matching::certified_maximum_cardinality` (push-relabel from `init`,
+  /// certified by a warm Hopcroft–Karp); -1 when verification is
+  /// disabled.
   graph::index_t maximum_cardinality = -1;
   /// Structural hash of the graph (dimensions + CSR arrays): two admitted
   /// instances with equal fingerprints are the same graph, which is what

@@ -159,17 +159,21 @@ class ShardedRun {
         col_ptr_(g.col_ptr()),
         col_adj_(g.col_adj().data()),
         psi_inf_(g.psi_infinity()),
-        opts_(options),
+        // Shard-local relabels over-estimate alternating distances (the
+        // AsyncGlobalRelabel hazard); every relabel is a synchronous
+        // whole-graph G-GR on the coordinator stream.  Set before
+        // `scheduler_` is built, so it never allocates shadow arrays.
+        opts_([&options] {
+          GprOptions o = options;
+          o.concurrent_global_relabel = false;
+          return o;
+        }()),
         plan_(shard_columns(g, num_shards)),
         st_(device::uninitialized, g.num_rows(), g.num_cols()),
         i_a_(device::uninitialized, static_cast<std::size_t>(g.num_cols())),
         claim_(device::uninitialized, static_cast<std::size_t>(g.num_rows())),
         dev0_(engines[0]),
         tracer_(tracer) {
-    // Shard-local relabels over-estimate alternating distances (the
-    // AsyncGlobalRelabel hazard); every relabel is a synchronous
-    // whole-graph G-GR on the coordinator stream.
-    opts_.concurrent_global_relabel = false;
     max_rounds_ =
         std::min(detail::loop_bound(g, opts_), kRoundKeyBias - 2);
 

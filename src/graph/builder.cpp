@@ -8,53 +8,64 @@
 
 namespace bpm::graph {
 
-namespace {
-
-/// Counting-sort one CSR direction from a deduplicated edge list.
-/// `key(e)` selects the source side, `val(e)` the target side.
-template <typename Key, typename Val>
-void build_csr(std::span<const Edge> edges, index_t num_src, Key key, Val val,
-               std::vector<offset_t>& ptr, std::vector<index_t>& adj) {
-  ptr.assign(static_cast<std::size_t>(num_src) + 1, 0);
-  for (const Edge& e : edges) ptr[static_cast<std::size_t>(key(e)) + 1]++;
-  std::partial_sum(ptr.begin(), ptr.end(), ptr.begin());
-  adj.resize(edges.size());
-  std::vector<offset_t> cursor(ptr.begin(), ptr.end() - 1);
-  for (const Edge& e : edges)
-    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(key(e))]++)] =
-        val(e);
-  for (index_t s = 0; s < num_src; ++s)
-    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(s)]),
-              adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(s) + 1]));
-}
-
-}  // namespace
-
 BipartiteGraph build_from_edges(index_t num_rows, index_t num_cols,
                                 std::span<const Edge> edges) {
   if (num_rows < 0 || num_cols < 0)
     throw std::invalid_argument("build_from_edges: negative dimension");
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(num_rows) + 1, 0);
+  std::vector<offset_t> col_ptr(static_cast<std::size_t>(num_cols) + 1, 0);
   for (const Edge& e : edges) {
     if (e.row < 0 || e.row >= num_rows || e.col < 0 || e.col >= num_cols)
       throw std::invalid_argument(
           "build_from_edges: edge endpoint out of range");
+    ++row_ptr[static_cast<std::size_t>(e.row)];
+    ++col_ptr[static_cast<std::size_t>(e.col)];
   }
+  // Counts become bucket start offsets; the last slot holds the total.
+  const auto scan = [](std::vector<offset_t>& ptr) {
+    std::exclusive_scan(ptr.begin(), ptr.end(), ptr.begin(), offset_t{0});
+  };
+  scan(row_ptr);
+  scan(col_ptr);
+  std::vector<offset_t> cursor;
 
-  // Deduplicate without disturbing the caller's buffer.
-  std::vector<Edge> sorted(edges.begin(), edges.end());
-  std::sort(sorted.begin(), sorted.end(), [](const Edge& a, const Edge& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  // Two stable counting passes, by column and then by row: every row's
+  // slice of `row_adj` comes out sorted by column, duplicates adjacent.
+  std::vector<index_t> by_col(edges.size());
+  cursor.assign(col_ptr.begin(), col_ptr.end() - 1);
+  for (const Edge& e : edges) by_col[cursor[e.col]++] = e.row;
+  std::vector<index_t> row_adj(edges.size());
+  cursor.assign(row_ptr.begin(), row_ptr.end() - 1);
+  for (index_t v = 0; v < num_cols; ++v)
+    for (offset_t k = col_ptr[v]; k < col_ptr[v + 1]; ++k)
+      row_adj[cursor[by_col[k]]++] = v;
+  by_col = {};
 
-  std::vector<offset_t> row_ptr, col_ptr;
-  std::vector<index_t> row_adj, col_adj;
-  build_csr(
-      sorted, num_rows, [](const Edge& e) { return e.row; },
-      [](const Edge& e) { return e.col; }, row_ptr, row_adj);
-  build_csr(
-      sorted, num_cols, [](const Edge& e) { return e.col; },
-      [](const Edge& e) { return e.row; }, col_ptr, col_adj);
+  // Drop duplicates in place and count the surviving column degrees.
+  std::fill(col_ptr.begin(), col_ptr.end(), 0);
+  offset_t kept = 0;
+  for (index_t u = 0; u < num_rows; ++u) {
+    const offset_t begin = row_ptr[u];
+    const offset_t end = row_ptr[u + 1];
+    row_ptr[u] = kept;
+    for (offset_t k = begin; k < end; ++k) {
+      if (k > begin && row_adj[k] == row_adj[k - 1]) continue;
+      ++col_ptr[row_adj[k]];
+      row_adj[kept++] = row_adj[k];
+    }
+  }
+  row_ptr[num_rows] = kept;
+  row_adj.resize(static_cast<std::size_t>(kept));
+  row_adj.shrink_to_fit();
+
+  // Column CSR scattered in (row, column) order: every column's rows come
+  // out sorted.
+  scan(col_ptr);
+  std::vector<index_t> col_adj(row_adj.size());
+  cursor.assign(col_ptr.begin(), col_ptr.end() - 1);
+  for (index_t u = 0; u < num_rows; ++u)
+    for (offset_t k = row_ptr[u]; k < row_ptr[u + 1]; ++k)
+      col_adj[cursor[row_adj[k]]++] = u;
 
   return BipartiteGraph(num_rows, num_cols, std::move(row_ptr),
                         std::move(row_adj), std::move(col_ptr),

@@ -20,7 +20,8 @@ struct Edge {
 /// Builds a `BipartiteGraph` from an arbitrary edge list.
 ///
 /// Duplicates are removed, adjacency lists are sorted, and both CSR
-/// directions are constructed with counting sort (O(|E| + m + n)).
+/// directions are constructed by stable counting passes — no comparison
+/// sort anywhere, O(|E| + m + n).
 /// Out-of-range endpoints throw `std::invalid_argument` — generators and
 /// file readers are expected to produce in-range vertices, and silently
 /// clamping would corrupt experiments.

@@ -38,6 +38,45 @@ void push_symmetric(std::vector<Edge>& edges, index_t i, index_t j) {
   edges.push_back({j, i});
 }
 
+/// Inverse-CDF lookup `upper_bound(cdf, target)` with a guide table
+/// (Chen–Asau) in front: bucket j of K = |cdf| equal slices of
+/// [0, cdf.back()) stores the first index whose cdf value falls in bucket
+/// j or later, so a lookup binary-searches only between two adjacent
+/// guides.  `bucket` is monotone in its argument, which is all the
+/// narrowing needs: every index before guide[bucket(t)] has cdf < t and
+/// guide[bucket(t) + 1] has cdf > t, so the result is the full-range
+/// `upper_bound`'s, index for index.
+class GuidedCdf {
+ public:
+  explicit GuidedCdf(const std::vector<double>& cdf)
+      : cdf_(cdf),
+        scale_(static_cast<double>(cdf.size()) / cdf.back()),
+        guide_(cdf.size() + 1) {
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < guide_.size(); ++j) {
+      while (i < cdf_.size() && bucket(cdf_[i]) < j) ++i;
+      guide_[j] = i;
+    }
+  }
+
+  [[nodiscard]] index_t operator()(double target) const {
+    const std::size_t j = bucket(target);
+    const auto first = cdf_.begin() + static_cast<std::ptrdiff_t>(guide_[j]);
+    const auto last = cdf_.begin() + static_cast<std::ptrdiff_t>(guide_[j + 1]);
+    return static_cast<index_t>(
+        std::distance(cdf_.begin(), std::upper_bound(first, last, target)));
+  }
+
+ private:
+  [[nodiscard]] std::size_t bucket(double t) const {
+    return std::min(static_cast<std::size_t>(t * scale_), cdf_.size() - 1);
+  }
+
+  const std::vector<double>& cdf_;
+  double scale_;
+  std::vector<std::size_t> guide_;
+};
+
 }  // namespace
 
 BipartiteGraph random_uniform(index_t num_rows, index_t num_cols,
@@ -137,11 +176,8 @@ BipartiteGraph chung_lu(index_t num_rows, index_t num_cols, double avg_degree,
   const auto row_cdf = make_cdf(num_rows);
   const auto col_cdf = make_cdf(num_cols);
 
-  auto sample = [&](const std::vector<double>& cdf) {
-    const double target = rng.uniform() * cdf.back();
-    const auto it = std::upper_bound(cdf.begin(), cdf.end(), target);
-    return static_cast<index_t>(std::distance(cdf.begin(), it));
-  };
+  const GuidedCdf row_pick(row_cdf);
+  const GuidedCdf col_pick(col_cdf);
 
   const offset_t num_edges = checked_count(
       avg_degree, static_cast<double>(std::min(num_rows, num_cols)),
@@ -149,8 +185,8 @@ BipartiteGraph chung_lu(index_t num_rows, index_t num_cols, double avg_degree,
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(num_edges));
   for (offset_t e = 0; e < num_edges; ++e) {
-    index_t u = sample(row_cdf);
-    index_t v = sample(col_cdf);
+    index_t u = row_pick(rng.uniform() * row_cdf.back());
+    index_t v = col_pick(rng.uniform() * col_cdf.back());
     if (u >= num_rows) u = num_rows - 1;  // guard FP edge of upper_bound
     if (v >= num_cols) v = num_cols - 1;
     edges.push_back({u, v});

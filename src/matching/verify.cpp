@@ -1,7 +1,11 @@
 #include "matching/verify.hpp"
 
 #include <queue>
+#include <utility>
 #include <vector>
+
+#include "matching/hopcroft_karp.hpp"
+#include "matching/seq_pr.hpp"
 
 namespace bpm::matching {
 
@@ -85,6 +89,11 @@ index_t reference_maximum_cardinality(const BipartiteGraph& g) {
     ++cardinality;
   }
   return cardinality;
+}
+
+index_t certified_maximum_cardinality(const BipartiteGraph& g,
+                                      Matching init) {
+  return hopcroft_karp(g, seq_push_relabel(g, std::move(init))).cardinality();
 }
 
 index_t deficiency(const BipartiteGraph& g, const Matching& m) {

@@ -21,6 +21,16 @@ namespace bpm::matching {
 /// the reference and the production code cannot share a bug.
 [[nodiscard]] index_t reference_maximum_cardinality(const BipartiteGraph& g);
 
+/// Cardinality of a maximum matching for production ground truth (pipeline
+/// admission, service `gen`/`load`, bench harnesses): `seq_push_relabel`
+/// from `init`, then `hopcroft_karp` warm-started from that matching.  HK
+/// stops only when no augmenting path exists — the Berge certificate — so
+/// the result is exact even if push-relabel returned a short matching;
+/// when the warm start is already maximum, HK costs one O(m + n) phase.
+/// `init` must be valid for `g`.
+[[nodiscard]] index_t certified_maximum_cardinality(const BipartiteGraph& g,
+                                                    Matching init);
+
 /// Deficiency of M: max-cardinality minus |M| (paper Theorem 2 counts this
 /// many vertex-disjoint augmenting paths).
 [[nodiscard]] index_t deficiency(const BipartiteGraph& g, const Matching& m);

@@ -1,6 +1,7 @@
 #include "serve/engine_group.hpp"
 
 #include <algorithm>
+#include <thread>
 
 namespace bpm::serve {
 
@@ -21,12 +22,16 @@ EngineGroup::EngineGroup(const EngineGroupOptions& options) {
       engines_.push_back(make_engine(d));
   } else {
     const unsigned n = std::max(options.engines, 1u);
+    // 0 means "every hardware thread" for one engine; several engines
+    // share the hardware threads out instead of each taking them all.
+    unsigned threads = options.device_threads;
+    if (threads == 0 && n > 1)
+      threads = std::max(1u, std::thread::hardware_concurrency() / n);
     engines_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-      engines_.push_back(
-          make_engine({.backend = options.backend,
-                       .mode = options.device_mode,
-                       .threads = options.device_threads}));
+      engines_.push_back(make_engine({.backend = options.backend,
+                                      .mode = options.device_mode,
+                                      .threads = threads}));
   }
   const auto n = engines_.size();
   retired_.assign(n, false);

@@ -16,7 +16,10 @@ struct EngineGroupOptions {
   /// `descriptors` is non-empty).
   device::Backend backend = device::default_backend();
   device::ExecMode device_mode = device::ExecMode::kConcurrent;
-  unsigned device_threads = 0;  ///< per-engine pool workers (0 = hardware)
+  /// Per-engine pool workers.  0 shares the hardware threads out over the
+  /// pool, max(1, hardware / engines) each, so a pool never runs more
+  /// workers than the machine has threads (one engine gets them all).
+  unsigned device_threads = 0;
   /// Explicit per-engine descriptors — a *mixed* pool (sim next to host,
   /// differing worker counts).  Non-empty overrides `engines`/`backend`/
   /// `device_mode`/`device_threads`; one engine is built per entry.

@@ -85,7 +85,8 @@ struct ServiceOptions {
   /// Worker threads = dispatches solving concurrently, each batch on its
   /// own device stream of a routed engine (0 = hardware concurrency).
   unsigned workers = 1;
-  unsigned device_threads = 0;  ///< per-engine pool workers (0 = hardware)
+  unsigned device_threads = 0;  ///< per-engine pool workers (0 = hardware
+                                ///< threads, shared over the engines)
   unsigned solver_threads = 0;  ///< multicore solver workers (0 = hardware)
   device::ExecMode device_mode = device::ExecMode::kConcurrent;
   /// Backend of every engine in a uniform pool; `sim` keeps the modeled

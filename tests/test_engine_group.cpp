@@ -3,10 +3,12 @@
 // preferred-engine override a sharded dispatch uses, the engine load
 // gauge behind them (device::Engine::add_load/remove_load/load), and the
 // failure/shutdown-while-busy edge cases (retired engines stop receiving,
-// outstanding leases keep their engine alive).
+// outstanding leases keep their engine alive), and the worker count a
+// default-threaded pool gives each engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <set>
@@ -118,6 +120,25 @@ TEST(EngineGroup, LiveEnginesSkipRetiredUntilNoneRemain) {
   group.retire(2);
   // All retired: the fleet falls back to the full pool (never-fail rule).
   EXPECT_EQ(group.live_engines().size(), 3u);
+}
+
+TEST(EngineGroup, DefaultThreadsShareTheHardwareOverThePool) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // One engine keeps "every hardware thread".
+  EXPECT_EQ(EngineGroup({.engines = 1}).engine(0)->num_workers(), hw);
+  // Several split them instead of each taking all of them.
+  EngineGroup shared({.engines = 3});
+  for (unsigned e = 0; e < shared.size(); ++e)
+    EXPECT_EQ(shared.engine(e)->num_workers(), std::max(1u, hw / 3))
+        << "engine " << e;
+  // An explicit count is per engine, as given.
+  EngineGroup pinned({.engines = 3, .device_threads = 2});
+  for (unsigned e = 0; e < pinned.size(); ++e)
+    EXPECT_EQ(pinned.engine(e)->num_workers(), 2u) << "engine " << e;
+  // Explicit descriptors are built as described.
+  EngineGroup mixed({.descriptors = {{.threads = 1}, {.threads = 2}}});
+  EXPECT_EQ(mixed.engine(0)->num_workers(), 1u);
+  EXPECT_EQ(mixed.engine(1)->num_workers(), 2u);
 }
 
 TEST(EngineGroup, ShutdownWhileBusyKeepsLeasedEnginesAlive) {

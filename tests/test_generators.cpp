@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/instances.hpp"
 
@@ -295,6 +296,112 @@ TEST(Instances, StrideSelection) {
 TEST(Instances, ClassNamesResolve) {
   for (const auto& inst : paper_instances())
     EXPECT_STRNE(to_string(inst.cls), "unknown") << inst.name;
+}
+
+// ---------------------------------------------------- golden fingerprints ----
+//
+// Every generator kind and all 28 Table I analogues pinned by edge count
+// and `structural_fingerprint` (dimensions + both CSR arrays): a change to
+// the builder or a generator that alters any graph — an edge, an order, a
+// tie — fails here, so speed work on graph construction must stay
+// bit-identical.
+
+struct GoldenGraph {
+  const char* name;
+  std::function<BipartiteGraph()> build;
+  offset_t edges;
+  std::uint64_t fingerprint;
+};
+
+TEST(GoldenFingerprints, EveryGeneratorKind) {
+  const std::vector<GoldenGraph> golden{
+      {"random_uniform", [] { return random_uniform(300, 250, 2000, 11); },
+       1964, 0xbd1b6641827c3892ull},
+      {"planted_perfect", [] { return planted_perfect(300, 3.0, 12); },
+       1190, 0xaf1d96f389493e80ull},
+      {"rmat", [] { return rmat(9, 6.0, 13); },
+       2512, 0x9b896ffbb60957faull},
+      {"chung_lu", [] { return chung_lu(400, 350, 5.0, 2.3, 14); },
+       1593, 0x0457ca49e9236b50ull},
+      {"skewed_hubs", [] { return skewed_hubs(300, 400, 3, 0.3, 2.0, 15); },
+       1026, 0x70560d23201eac8bull},
+      {"skewed_hubs_block",
+       [] { return skewed_hubs(300, 400, 3, 0.3, 2.0, 15, /*scatter=*/false); },
+       1026, 0x316ccf31376f5fa2ull},
+      {"road_network", [] { return road_network(20, 15, 0.7, 16); },
+       794, 0xd9e20314663ec2dbull},
+      {"delaunay_mesh", [] { return delaunay_mesh(18, 17, 17); },
+       1698, 0x1738115fc54d7219ull},
+      {"trace_mesh", [] { return trace_mesh(60, 4, 0.1, 18); },
+       908, 0x6e460f9b5ebf121full},
+      {"copaper", [] { return copaper(300, 40, 8.0, 19); },
+       2214, 0xb335cbe614cd12d1ull},
+      {"huge_bipartite",
+       [] { return huge_bipartite(500, 400, 4.0, 0.1, 50, 20); },
+       1969, 0x6ec177e848168988ull},
+      {"complete_bipartite", [] { return complete_bipartite(7, 9); },
+       63, 0x0f7e43d83587d655ull},
+      {"empty_graph", [] { return empty_graph(5, 3); },
+       0, 0xdf9be70f7e885d6bull},
+      {"star", [] { return star(6); },
+       6, 0xfb1567560ee0e815ull},
+      {"chain", [] { return chain(9); },
+       17, 0xae20dc3f1064ad06ull},
+      {"permute_vertices",
+       [] { return permute_vertices(chung_lu(400, 350, 5.0, 2.3, 14), 21); },
+       1593, 0x8d577fb9880abb91ull},
+  };
+  for (const GoldenGraph& want : golden) {
+    const BipartiteGraph g = want.build();
+    EXPECT_EQ(g.num_edges(), want.edges) << want.name;
+    EXPECT_EQ(structural_fingerprint(g), want.fingerprint) << want.name;
+  }
+}
+
+TEST(GoldenFingerprints, TableOneAnaloguesAtSmallScale) {
+  struct Pin {
+    const char* name;
+    offset_t edges;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"amazon0505", 8074, 0x90d2929819375913ull},
+      {"coPapersDBLP", 32338, 0x9a02b8c2fbbcce07ull},
+      {"amazon-2008", 10024, 0xc557abdc33d1f1b6ull},
+      {"flickr", 18878, 0xd5698505eb5e7182ull},
+      {"eu-2005", 25238, 0xeb58f9f0be11d3efull},
+      {"delaunay_n20", 11792, 0xb8ccb3bde79bb6a4ull},
+      {"kron_g500-logn20", 57104, 0x279b50e577ce9e16ull},
+      {"roadNet-PA", 7504, 0xb9854de08e797c0full},
+      {"in-2004", 24486, 0xac8727a29aa37c0bull},
+      {"roadNet-TX", 9606, 0xd1316aab6fb5c706ull},
+      {"Hamrle3", 11025, 0xa30946fb81fd2ce9ull},
+      {"as-Skitter", 21819, 0xaad9640b6661cdb1ull},
+      {"GL7d19", 74449, 0xdcd3717dcf39c898ull},
+      {"roadNet-CA", 13698, 0x4d8834c755514f51ull},
+      {"delaunay_n21", 24066, 0xadbda1fcc8370a20ull},
+      {"kron_g500-logn21", 124819, 0xdbab070bc77e8fceull},
+      {"wikipedia-20070206", 88449, 0xae8fcace9e862033ull},
+      {"patents", 29737, 0x9908d821a12762fbull},
+      {"com-livejournal", 68482, 0x0e6ae4976005fa3bull},
+      {"hugetrace-00000", 48730, 0x0141ac5792e11b4full},
+      {"soc-LiveJournal1", 135602, 0x981d58f1028ea2f7ull},
+      {"ljournal-2008", 155343, 0x48fcf4c5e4e8fbe1ull},
+      {"italy_osm", 27432, 0xe5789e41a1a30b13ull},
+      {"delaunay_n23", 98816, 0xf34a4724924b24e1ull},
+      {"wb-edu", 90604, 0xe09d346664e7c3e6ull},
+      {"hugetrace-00020", 174676, 0x660598b61d2ec103ull},
+      {"delaunay_n24", 199472, 0x1e0475604cff17d6ull},
+      {"hugebubbles-00000", 176278, 0x7857e7c2119c4901ull},
+  };
+  const auto& all = paper_instances();
+  ASSERT_EQ(std::size(pins), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i].name, pins[i].name);
+    const BipartiteGraph g = all[i].build(0.002, 42);
+    EXPECT_EQ(g.num_edges(), pins[i].edges) << pins[i].name;
+    EXPECT_EQ(structural_fingerprint(g), pins[i].fingerprint) << pins[i].name;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/bipartite_graph.hpp"
 #include "graph/builder.hpp"
+#include "util/rng.hpp"
 
 namespace bpm::graph {
 namespace {
@@ -40,12 +44,24 @@ TEST(Builder, RejectsOutOfRangeEndpoints) {
                std::invalid_argument);
   EXPECT_THROW(build_from_edges(2, 2, std::vector<Edge>{{0, -1}}),
                std::invalid_argument);
+  // One bad endpoint anywhere in the list rejects the whole list.
+  EXPECT_THROW(
+      build_from_edges(2, 2, std::vector<Edge>{{0, 0}, {1, 1}, {0, 2}}),
+      std::invalid_argument);
+  // Any edge into an empty side is out of range.
+  EXPECT_THROW(build_from_edges(4, 0, std::vector<Edge>{{0, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW(build_from_edges(-1, 2, std::vector<Edge>{}),
+               std::invalid_argument);
 }
 
 TEST(Builder, EmptyGraphIsFine) {
   const BipartiteGraph g = build_from_edges(0, 0, std::vector<Edge>{});
   EXPECT_EQ(g.num_edges(), 0);
   EXPECT_EQ(g.psi_infinity(), 0);
+  const BipartiteGraph rows_only = build_from_edges(4, 0, std::vector<Edge>{});
+  EXPECT_EQ(rows_only.row_ptr(), (std::vector<offset_t>{0, 0, 0, 0, 0}));
+  EXPECT_EQ(rows_only.col_ptr(), std::vector<offset_t>{0});
 }
 
 TEST(Builder, IsolatedVerticesKeepEmptyAdjacency) {
@@ -53,6 +69,62 @@ TEST(Builder, IsolatedVerticesKeepEmptyAdjacency) {
   EXPECT_TRUE(g.row_neighbors(0).empty());
   EXPECT_TRUE(g.row_neighbors(2).empty());
   EXPECT_EQ(g.row_neighbors(1).size(), 1u);
+}
+
+/// Naive reference for `build_from_edges`: comparison-sort the edge list,
+/// drop duplicates, then read each CSR direction straight off a sorted
+/// copy.
+struct NaiveCsr {
+  std::vector<offset_t> row_ptr, col_ptr;
+  std::vector<index_t> row_adj, col_adj;
+};
+
+NaiveCsr naive_build(index_t rows, index_t cols, std::vector<Edge> edges) {
+  const auto by_row = [](const Edge& a, const Edge& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  std::sort(edges.begin(), edges.end(), by_row);
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  NaiveCsr out;
+  out.row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
+  out.col_ptr.assign(static_cast<std::size_t>(cols) + 1, 0);
+  for (const Edge& e : edges) {
+    ++out.row_ptr[static_cast<std::size_t>(e.row) + 1];
+    ++out.col_ptr[static_cast<std::size_t>(e.col) + 1];
+    out.row_adj.push_back(e.col);
+  }
+  for (std::size_t i = 1; i < out.row_ptr.size(); ++i)
+    out.row_ptr[i] += out.row_ptr[i - 1];
+  for (std::size_t i = 1; i < out.col_ptr.size(); ++i)
+    out.col_ptr[i] += out.col_ptr[i - 1];
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.col != b.col ? a.col < b.col : a.row < b.row;
+  });
+  for (const Edge& e : edges) out.col_adj.push_back(e.row);
+  return out;
+}
+
+TEST(Builder, MatchesNaiveSortUniqueReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Small sides make duplicates common; a side may be empty (then no
+    // edge can exist), and some trials have no edges at all.
+    const auto rows = static_cast<index_t>(rng.below(trial % 7 == 0 ? 3 : 40));
+    const auto cols = static_cast<index_t>(rng.below(trial % 5 == 0 ? 3 : 40));
+    const std::size_t n = rows == 0 || cols == 0 ? 0 : rng.below(200);
+    std::vector<Edge> edges;
+    for (std::size_t e = 0; e < n; ++e)
+      edges.push_back({static_cast<index_t>(rng.below(
+                           static_cast<std::uint64_t>(rows))),
+                       static_cast<index_t>(rng.below(
+                           static_cast<std::uint64_t>(cols)))});
+    const BipartiteGraph g = build_from_edges(rows, cols, edges);
+    const NaiveCsr want = naive_build(rows, cols, edges);
+    EXPECT_EQ(g.row_ptr(), want.row_ptr) << "trial " << trial;
+    EXPECT_EQ(g.row_adj(), want.row_adj) << "trial " << trial;
+    EXPECT_EQ(g.col_ptr(), want.col_ptr) << "trial " << trial;
+    EXPECT_EQ(g.col_adj(), want.col_adj) << "trial " << trial;
+  }
 }
 
 TEST(Graph, HasEdge) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
@@ -121,6 +124,51 @@ TEST(Verify, ReferenceCardinalityStructuredDeficiency) {
   const BipartiteGraph g =
       build_from_edges(1, 2, std::vector<Edge>{{0, 0}, {0, 1}});
   EXPECT_EQ(reference_maximum_cardinality(g), 1);
+}
+
+TEST(Verify, CertifiedCardinalityMatchesReferenceOnEveryGeneratorKind) {
+  const std::vector<std::pair<const char*, BipartiteGraph>> graphs{
+      {"random_uniform", gen::random_uniform(150, 120, 500, 1)},
+      {"planted_perfect", gen::planted_perfect(120, 2.0, 2)},
+      {"rmat", gen::rmat(7, 4.0, 3)},
+      {"chung_lu", gen::chung_lu(150, 180, 3.0, 2.3, 4)},
+      {"skewed_hubs", gen::skewed_hubs(100, 140, 3, 0.3, 1.5, 5)},
+      {"road_network", gen::road_network(12, 10, 0.6, 6)},
+      {"delaunay_mesh", gen::delaunay_mesh(11, 10, 7)},
+      {"trace_mesh", gen::trace_mesh(40, 3, 0.1, 8)},
+      {"copaper", gen::copaper(150, 20, 6.0, 9)},
+      {"huge_bipartite", gen::huge_bipartite(140, 160, 2.0, 0.1, 40, 10)},
+  };
+  for (const auto& [name, g] : graphs) {
+    const index_t want = reference_maximum_cardinality(g);
+    EXPECT_EQ(certified_maximum_cardinality(g, cheap_matching(g)), want)
+        << name;
+    EXPECT_EQ(certified_maximum_cardinality(g, Matching(g)), want)
+        << name << " from an empty init";
+  }
+}
+
+TEST(Verify, CertifiedCardinalityOnDeterministicShapes) {
+  const std::vector<std::pair<BipartiteGraph, index_t>> cases{
+      {gen::star(7), 1},
+      {gen::chain(9), 9},
+      {gen::complete_bipartite(4, 6), 4},
+      {gen::complete_bipartite(6, 4), 4},
+      {gen::empty_graph(5, 3), 0},
+      {gen::empty_graph(0, 0), 0},
+      // rows != cols with a structural deficiency: 2 rows serve 4 columns.
+      {build_from_edges(2, 4,
+                        std::vector<Edge>{{0, 0}, {0, 1}, {0, 2}, {1, 2},
+                                          {1, 3}}),
+       2},
+  };
+  for (const auto& [g, want] : cases) {
+    ASSERT_EQ(reference_maximum_cardinality(g), want) << g.describe();
+    EXPECT_EQ(certified_maximum_cardinality(g, cheap_matching(g)), want)
+        << g.describe();
+    EXPECT_EQ(certified_maximum_cardinality(g, Matching(g)), want)
+        << g.describe();
+  }
 }
 
 // --------------------------------------------------------------- greedy ----

@@ -129,8 +129,6 @@ int main(int argc, char** argv) {
                  "max commands per socket connection (0 = unlimited)", "0");
   cli.add_option("max-line", "per-connection line budget in bytes", "65536");
   cli.add_option("max-clients", "concurrent socket connections", "64");
-  cli.add_option("transport-executors",
-                 "socket command executor threads (0 = 4)", "0");
   cli.add_flag("tolerate-errors",
                "script/stdin `error ...` responses do not fail the exit "
                "code (malformed-input smoke runs)");
@@ -220,8 +218,6 @@ int main(int argc, char** argv) {
       topt.port = static_cast<std::uint16_t>(cli.get_int("listen"));
       topt.max_clients =
           static_cast<std::size_t>(cli.get_int("max-clients"));
-      topt.executors =
-          static_cast<unsigned>(cli.get_int("transport-executors"));
       topt.session.auth_token = cli.get_string("auth-token");
       topt.session.quota =
           static_cast<std::uint64_t>(cli.get_int("quota"));

@@ -1,7 +1,6 @@
 #include "serve/transport.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -13,28 +12,33 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
-
-#include "obs/metrics.hpp"
+#include <system_error>
 
 namespace bpm::serve {
 
 namespace {
 
-constexpr int kPollIntervalMs = 100;
-/// How long `stop()` keeps flushing pending responses before closing.
+/// How long `stop()` lets connections finish sending before it shuts
+/// their sockets down entirely, so a client that never reads cannot
+/// hold a connection thread in `send` forever.
 constexpr auto kStopGrace = std::chrono::milliseconds(500);
-/// Past this, connections are torn down even with an executor blocked on
-/// them (the executor finishes against the still-alive Conn object).
-constexpr auto kStopForce = std::chrono::milliseconds(3000);
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error("transport: " + what + ": " +
                            std::strerror(errno));
+}
+
+/// Sends all of `bytes`; false once the peer or `stop()` ends the socket.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 }  // namespace
@@ -42,25 +46,18 @@ void set_nonblocking(int fd) {
 SocketTransport::SocketTransport(SessionContext& context,
                                  TransportOptions options)
     : context_(context), options_(std::move(options)) {
-  if (options_.executors == 0) options_.executors = 4;
+  obs::Registry& reg = obs::Registry::global();
+  metrics_.accepted = &reg.counter("serve.transport.accepted");
+  metrics_.lines = &reg.counter("serve.transport.lines");
+  metrics_.errors = &reg.counter("serve.transport.errors");
+  metrics_.open_connections = &reg.gauge("serve.transport.open_connections");
+  // 5 us … ~42 s: a cached request's line takes tens of microseconds.
+  metrics_.line_ms = &reg.histogram(
+      "serve.transport.line_ms",
+      obs::Histogram::exponential_bounds(0.005, 2.0, 24));
 
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) throw_errno("pipe");
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  set_nonblocking(wake_read_fd_);
-  set_nonblocking(wake_write_fd_);
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  const auto cleanup = [&] {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-  };
-  if (listen_fd_ < 0) {
-    cleanup();
-    throw_errno("socket");
-  }
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) throw_errno("socket");
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -68,14 +65,16 @@ SocketTransport::SocketTransport(SessionContext& context,
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    cleanup();
+    ::close(listen_fd_);
     throw std::runtime_error("transport: bad bind address '" +
                              options_.host + "'");
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(listen_fd_, 128) != 0) {
-    cleanup();
+    const int error = errno;
+    ::close(listen_fd_);
+    errno = error;
     throw_errno("bind/listen on " + options_.host + ":" +
                 std::to_string(options_.port));
   }
@@ -83,20 +82,11 @@ SocketTransport::SocketTransport(SessionContext& context,
   socklen_t len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
 
-  poll_thread_ = std::thread([this] { poll_loop(); });
-  executors_.reserve(options_.executors);
-  for (unsigned e = 0; e < options_.executors; ++e)
-    executors_.emplace_back([this] { executor_loop(); });
+  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 SocketTransport::~SocketTransport() { stop(); }
-
-void SocketTransport::wake() {
-  const char byte = 'w';
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
-}
 
 void SocketTransport::wait_shutdown() {
   std::unique_lock lock(state_mutex_);
@@ -119,19 +109,26 @@ void SocketTransport::stop() {
     stopping_ = true;
     state_cv_.notify_all();
   }
-  wake();
-  if (poll_thread_.joinable()) poll_thread_.join();
-  {
-    const std::lock_guard lock(work_mutex_);
-    stop_executors_ = true;
-    work_cv_.notify_all();
-  }
-  for (std::thread& t : executors_)
-    if (t.joinable()) t.join();
+  // Shutting the listener down wakes the acceptor's blocking accept.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
-  ::close(wake_read_fd_);
-  ::close(wake_write_fd_);
-  listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+  listen_fd_ = -1;
+
+  {
+    std::unique_lock lock(conns_mutex_);
+    // Every blocking recv returns at once; a connection running a command
+    // finishes it and sends the response first.
+    for (const auto& [id, c] : conns_)
+      if (c->fd >= 0) ::shutdown(c->fd, SHUT_RD);
+    const auto all_ended = [&] { return live_ == 0; };
+    if (!conns_cv_.wait_for(lock, kStopGrace, all_ended))
+      for (const auto& [id, c] : conns_)
+        if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
+    // A connection blocked in `wait` ends once its ticket completes.
+    conns_cv_.wait(lock, all_ended);
+    reap();
+  }
   {
     const std::lock_guard lock(state_mutex_);
     stopped_ = true;
@@ -139,11 +136,23 @@ void SocketTransport::stop() {
   }
 }
 
+void SocketTransport::reap() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (!it->second->done) {
+      ++it;
+      continue;
+    }
+    it->second->thread.join();  // already past its last locked step
+    it = conns_.erase(it);
+  }
+}
+
 TransportStats SocketTransport::stats() const {
   const std::lock_guard lock(conns_mutex_);
   TransportStats s = stats_;
-  s.open = conns_.size();
-  for (const auto& [id, c] : conns_) s.errors += c->session->errors();
+  s.open = live_;
+  for (const auto& [id, c] : conns_)
+    if (!c->done) s.errors += c->session->errors();
   for (const TransportClientStats& c : closed_clients_) s.errors += c.errors;
   return s;
 }
@@ -152,13 +161,14 @@ std::vector<TransportClientStats> SocketTransport::client_stats() const {
   const std::lock_guard lock(conns_mutex_);
   std::vector<TransportClientStats> out = closed_clients_;
   for (const auto& [id, c] : conns_)
-    out.push_back({.id = c->id,
-                   .open = true,
-                   .authed = c->session->authed(),
-                   .requests = c->session->requests(),
-                   .errors = c->session->errors(),
-                   .quota_rejections = c->session->quota_rejections(),
-                   .quota = options_.session.quota});
+    if (!c->done)
+      out.push_back({.id = c->id,
+                     .open = true,
+                     .authed = c->session->authed(),
+                     .requests = c->session->requests(),
+                     .errors = c->session->errors(),
+                     .quota_rejections = c->session->quota_rejections(),
+                     .quota = options_.session.quota});
   return out;
 }
 
@@ -184,306 +194,144 @@ std::vector<std::string> SocketTransport::stats_lines() const {
   return out;
 }
 
-void SocketTransport::handle_accept() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: try again next poll
-    set_nonblocking(fd);
+void SocketTransport::accept_loop() {
+  while (!stopping_) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      // Out of descriptors or memory: give open connections time to end.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;  // also EINTR, ECONNABORTED, and stop()'s shutdown
+    }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     const std::lock_guard lock(conns_mutex_);
-    if (conns_.size() >= options_.max_clients) {
-      const std::string refusal =
-          proto::error_line({proto::ErrorCode::kUnavailable,
-                             "server full (" +
-                                 std::to_string(options_.max_clients) +
-                                 " clients)"}) +
-          "\n";
-      [[maybe_unused]] const ssize_t n =
-          ::send(fd, refusal.data(), refusal.size(), MSG_NOSIGNAL);
+    reap();  // finished connections never count against the cap
+    if (stopping_) {
       ::close(fd);
-      ++stats_.refused;
-      continue;
+      break;
     }
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->session = std::make_unique<Session>(context_, options_.session);
-    conns_.emplace(conn->id, std::move(conn));
-    ++stats_.accepted;
-    obs::Registry::global().counter("serve.transport.accepted").inc();
-    obs::Registry::global()
-        .gauge("serve.transport.open_connections")
-        .set(static_cast<double>(conns_.size()));
+    if (live_ < options_.max_clients) {
+      auto owned = std::make_unique<Conn>();
+      Conn& conn = *owned;
+      conn.fd = fd;
+      conn.id = next_conn_id_;
+      conn.session = std::make_unique<Session>(context_, options_.session);
+      try {
+        conn.thread = std::thread([this, &conn] { serve(conn); });
+      } catch (const std::system_error&) {
+        owned.reset();  // no thread to serve it: refuse like a full server
+      }
+      if (owned) {
+        conns_.emplace(next_conn_id_++, std::move(owned));
+        ++live_;
+        ++stats_.accepted;
+        metrics_.accepted->inc();
+        metrics_.open_connections->set(static_cast<double>(live_));
+        continue;
+      }
+    }
+    const std::string refusal =
+        proto::error_line({proto::ErrorCode::kUnavailable,
+                           "server full (" +
+                               std::to_string(options_.max_clients) +
+                               " clients)"}) +
+        "\n";
+    [[maybe_unused]] const ssize_t n = ::send(
+        fd, refusal.data(), refusal.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    ::close(fd);
+    ++stats_.refused;
   }
 }
 
-void SocketTransport::handle_read(const std::shared_ptr<Conn>& conn) {
-  char buf[16384];
-  std::string received;
-  bool eof = false;
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      received.append(buf, static_cast<std::size_t>(n));
+void SocketTransport::serve(Conn& conn) {
+  const std::size_t budget = options_.session.limits.max_line_bytes;
+  std::string in;
+  std::size_t start = 0;  // first byte of `in` not yet split off
+  char chunk[16384];
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    if (const std::size_t nl = in.find('\n', start); nl != std::string::npos) {
+      std::string_view line(in.data() + start, nl - start);
+      if (line.ends_with('\r')) line.remove_suffix(1);
+      start = nl + 1;
+      if (!execute(conn, line)) break;
       continue;
     }
-    if (n == 0) {
-      eof = true;
-    } else if (errno == EINTR) {
-      continue;
-    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      eof = true;
-    }
-    break;
-  }
-
-  bool overflowed = false;
-  {
-    const std::lock_guard lock(conn->m);
-    conn->inbuf += received;
-    if (eof) conn->eof = true;
-    std::size_t start = 0;
-    for (std::size_t nl; (nl = conn->inbuf.find('\n', start)) !=
-                         std::string::npos;
-         start = nl + 1) {
-      std::string line = conn->inbuf.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      conn->pending.push_back(std::move(line));
-    }
-    conn->inbuf.erase(0, start);
-    if (conn->inbuf.size() > options_.session.limits.max_line_bytes) {
+    in.erase(0, start);
+    start = 0;
+    if (in.size() > budget) {
       // An unterminated line past the budget: the stream's framing is
       // gone — answer once, drop the blob, end the connection.
-      conn->outbuf +=
-          proto::error_line(
-              {proto::ErrorCode::kLineTooLong,
-               "unterminated line past the " +
-                   std::to_string(options_.session.limits.max_line_bytes) +
-                   "-byte budget"}) +
-          "\n";
-      conn->inbuf.clear();
-      conn->close_after_flush = true;
-      overflowed = true;
+      (void)send_all(conn.fd,
+                     proto::error_line(
+                         {proto::ErrorCode::kLineTooLong,
+                          "unterminated line past the " +
+                              std::to_string(budget) + "-byte budget"}) +
+                         "\n");
+      metrics_.errors->inc();
+      const std::lock_guard lock(conns_mutex_);
+      ++stats_.errors;
+      break;
     }
+    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+    if (n > 0)
+      in.append(chunk, static_cast<std::size_t>(n));
+    else if (n == 0 || errno != EINTR)
+      break;  // EOF, a socket error, or stop() shut reads down
   }
-  if (overflowed) {
-    // Counted outside conn->m: the lock order is conns_mutex_ -> conn->m,
-    // never the reverse.
-    obs::Registry::global().counter("serve.transport.errors").inc();
-    const std::lock_guard lock(conns_mutex_);
-    ++stats_.errors;
-  }
-  maybe_schedule(conn);
+
+  const std::lock_guard lock(conns_mutex_);
+  closed_clients_.push_back(
+      {.id = conn.id,
+       .open = false,
+       .authed = conn.session->authed(),
+       .requests = conn.session->requests(),
+       .errors = conn.session->errors(),
+       .quota_rejections = conn.session->quota_rejections(),
+       .quota = options_.session.quota});
+  ::close(conn.fd);
+  conn.fd = -1;
+  conn.done = true;
+  --live_;
+  ++stats_.closed;
+  metrics_.open_connections->set(static_cast<double>(live_));
+  conns_cv_.notify_all();
 }
 
-void SocketTransport::handle_write(const std::shared_ptr<Conn>& conn) {
-  const std::lock_guard lock(conn->m);
-  while (!conn->outbuf.empty()) {
-    const ssize_t n = ::send(conn->fd, conn->outbuf.data(),
-                             conn->outbuf.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->outbuf.erase(0, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) conn->eof = true;
-    break;
+bool SocketTransport::execute(Conn& conn, std::string_view line) {
+  const auto decoded = std::chrono::steady_clock::now();
+  const Session::Outcome outcome = conn.session->execute(line);
+  std::string response;
+  std::uint64_t errors = 0;
+  for (const std::string& l : outcome.lines) {
+    if (l.starts_with("error ")) ++errors;
+    response += l;
+    response += '\n';
   }
-}
-
-void SocketTransport::maybe_schedule(const std::shared_ptr<Conn>& conn) {
-  bool schedule = false;
+  if (outcome.stats)
+    for (const std::string& l : stats_lines()) {
+      response += l;
+      response += '\n';
+    }
   {
-    const std::lock_guard lock(conn->m);
-    if (!conn->executing && !conn->pending.empty() &&
-        !conn->close_after_flush) {
-      conn->executing = true;
-      schedule = true;
-    }
+    const std::lock_guard lock(conns_mutex_);
+    ++stats_.lines;
   }
-  if (schedule) {
-    const std::lock_guard lock(work_mutex_);
-    work_.push_back(conn);
-    work_cv_.notify_one();
+  metrics_.lines->inc();
+  if (errors > 0) metrics_.errors->add(errors);
+  const bool sent = send_all(conn.fd, response);
+  metrics_.line_ms->observe(
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - decoded)
+          .count());
+  if (outcome.shutdown) {
+    const std::lock_guard lock(state_mutex_);
+    shutdown_requested_ = true;
+    state_cv_.notify_all();
   }
-}
-
-void SocketTransport::poll_loop() {
-  std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Conn>> polled;
-  auto stop_seen = std::chrono::steady_clock::time_point::max();
-
-  for (;;) {
-    bool stopping;
-    {
-      const std::lock_guard lock(state_mutex_);
-      stopping = stopping_;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (stopping && stop_seen == std::chrono::steady_clock::time_point::max())
-      stop_seen = now;
-
-    fds.clear();
-    polled.clear();
-    fds.push_back({wake_read_fd_, POLLIN, 0});
-    bool listening = false;
-    {
-      const std::lock_guard lock(conns_mutex_);
-      if (!stopping && conns_.size() <= options_.max_clients) {
-        // Keep polling the listener at the cap too, so over-limit
-        // connections are refused promptly instead of queueing.
-        fds.push_back({listen_fd_, POLLIN, 0});
-        listening = true;
-      }
-      for (const auto& [id, c] : conns_) {
-        short events = 0;
-        {
-          const std::lock_guard cl(c->m);
-          if (!c->eof && !c->close_after_flush && !stopping) events |= POLLIN;
-          if (!c->outbuf.empty()) events |= POLLOUT;
-        }
-        fds.push_back({c->fd, events, 0});
-        polled.push_back(c);
-      }
-    }
-
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollIntervalMs);
-
-    if (fds[0].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-    }
-    std::size_t base = 1;
-    if (listening) {
-      if (fds[1].revents & POLLIN) handle_accept();
-      base = 2;
-    }
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      const short revents = fds[base + i].revents;
-      if (revents & (POLLIN | POLLHUP | POLLERR)) handle_read(polled[i]);
-      if (revents & POLLOUT) handle_write(polled[i]);
-    }
-
-    // Teardown sweep.  A connection leaves once no executor owns it and
-    // it has nothing left to say; a stop() flushes within the grace
-    // window, then force-closes (the Conn object itself stays alive for
-    // any executor still blocked on it).
-    {
-      const std::lock_guard lock(conns_mutex_);
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        const std::shared_ptr<Conn>& c = it->second;
-        bool remove;
-        bool force = stopping && now - stop_seen > kStopForce;
-        {
-          const std::lock_guard cl(c->m);
-          const bool idle = !c->executing && c->pending.empty();
-          const bool flushed = c->outbuf.empty();
-          remove = force ||
-                   (idle && ((c->eof) || (c->close_after_flush && flushed) ||
-                             (stopping &&
-                              (flushed || now - stop_seen > kStopGrace))));
-        }
-        if (!remove) {
-          ++it;
-          continue;
-        }
-        closed_clients_.push_back(
-            {.id = c->id,
-             .open = false,
-             .authed = c->session->authed(),
-             .requests = c->session->requests(),
-             .errors = c->session->errors(),
-             .quota_rejections = c->session->quota_rejections(),
-             .quota = options_.session.quota});
-        ::shutdown(c->fd, SHUT_RDWR);
-        ::close(c->fd);
-        c->fd = -1;
-        ++stats_.closed;
-        it = conns_.erase(it);
-      }
-      obs::Registry::global()
-          .gauge("serve.transport.open_connections")
-          .set(static_cast<double>(conns_.size()));
-      if (stopping && conns_.empty()) return;
-    }
-  }
-}
-
-void SocketTransport::executor_loop() {
-  for (;;) {
-    std::shared_ptr<Conn> conn;
-    {
-      std::unique_lock lock(work_mutex_);
-      work_cv_.wait(lock,
-                    [&] { return stop_executors_ || !work_.empty(); });
-      if (work_.empty()) return;
-      conn = std::move(work_.front());
-      work_.pop_front();
-    }
-
-    std::string line;
-    bool have = false;
-    {
-      const std::lock_guard lock(conn->m);
-      if (!conn->pending.empty()) {
-        line = std::move(conn->pending.front());
-        conn->pending.pop_front();
-        have = true;
-      }
-    }
-
-    Session::Outcome outcome;
-    if (have) outcome = conn->session->execute(line);
-    // Collected BEFORE taking conn->m: stats_lines locks conns_mutex_
-    // then each conn's mutex, and that order must hold everywhere.
-    std::vector<std::string> extra;
-    if (outcome.stats) extra = stats_lines();
-
-    std::uint64_t new_errors = 0;
-    for (const std::string& l : outcome.lines)
-      if (l.starts_with("error ")) ++new_errors;
-
-    bool more = false;
-    {
-      const std::lock_guard lock(conn->m);
-      for (const std::string& l : outcome.lines) {
-        conn->outbuf += l;
-        conn->outbuf += '\n';
-      }
-      for (const std::string& l : extra) {
-        conn->outbuf += l;
-        conn->outbuf += '\n';
-      }
-      if (outcome.close) conn->close_after_flush = true;
-      if (!conn->pending.empty() && !conn->close_after_flush)
-        more = true;
-      else
-        conn->executing = false;
-    }
-    if (have) {
-      const std::lock_guard lock(conns_mutex_);
-      ++stats_.lines;
-    }
-    if (have) obs::Registry::global().counter("serve.transport.lines").inc();
-    if (new_errors > 0)
-      obs::Registry::global()
-          .counter("serve.transport.errors")
-          .add(new_errors);
-    if (outcome.shutdown) {
-      const std::lock_guard lock(state_mutex_);
-      shutdown_requested_ = true;
-      state_cv_.notify_all();
-    }
-    if (more) {
-      const std::lock_guard lock(work_mutex_);
-      work_.push_back(conn);
-      work_cv_.notify_one();
-    }
-    wake();
-  }
+  return sent && !outcome.close;
 }
 
 // --- LineClient --------------------------------------------------------------

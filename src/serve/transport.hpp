@@ -1,8 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/session.hpp"
 
 namespace bpm::serve {
@@ -21,11 +22,11 @@ struct TransportOptions {
   /// 0 binds an ephemeral port; read the real one back from `port()`.
   std::uint16_t port = 0;
   /// Connections beyond this are refused with `error code=unavailable`.
+  /// Each admitted connection runs on its own thread.
   std::size_t max_clients = 64;
-  /// Command executor threads.  Blocking commands (`wait`, `drain`) hold
-  /// an executor while they block, so size this at least as large as the
-  /// number of clients expected to block concurrently; others' commands
-  /// queue behind them but always make progress.  0 = 4.
+  /// Ignored: every connection runs its commands on its own thread, so
+  /// there is no shared executor pool to size.  Kept only for source
+  /// compatibility with callers that still assign it.
   unsigned executors = 0;
   /// Auth token, per-client quota, and line budget for every connection.
   Session::Options session;
@@ -53,22 +54,23 @@ struct TransportClientStats {
   std::uint64_t quota = 0;  ///< configured limit (0 = unlimited)
 };
 
-/// A poll(2)-based line-protocol socket server multiplexing N concurrent
-/// clients onto one `MatchingService`.
+/// A line-protocol socket server multiplexing N concurrent clients onto
+/// one `MatchingService`, one thread per connection.
 ///
-/// One poll thread owns all I/O: it accepts connections, splits reads
-/// into protocol lines (enforcing the per-connection line budget), and
-/// flushes response bytes.  Commands execute on a small executor pool —
-/// at most one in flight per connection, so each client sees strict FIFO
-/// request/response order, while different clients' commands (including
-/// blocking `wait`s) proceed concurrently.  Every response is produced by
-/// a per-connection `Session`, so quotas, auth, and the never-crash
+/// An acceptor thread admits connections up to `max_clients` and starts
+/// a thread for each.  That thread reads with blocking `recv`, splits
+/// protocol lines (enforcing the per-connection line budget), executes
+/// each through the connection's `Session`, and sends the response with
+/// a blocking `send` before it reads the next line — so each client sees
+/// strict FIFO request/response order, and one client's blocking `wait`
+/// never delays another client.  Every response is produced by a
+/// per-connection `Session`, so quotas, auth, and the never-crash
 /// malformed-input guarantees are identical to the stdin driver.
 ///
 /// A client's `shutdown` command drains the service, answers
 /// `ok shutdown`, and unblocks `wait_shutdown()`; the owner then calls
-/// `stop()`, which stops accepting, flushes pending responses (bounded
-/// grace), closes every connection, and joins all threads.
+/// `stop()`, which stops accepting, ends every connection after the
+/// command it is running, and joins all threads.
 ///
 /// ```
 /// serve::SessionContext ctx(service);
@@ -95,8 +97,10 @@ class SocketTransport {
   void wait_shutdown();
   [[nodiscard]] bool shutdown_requested() const;
 
-  /// Stops accepting, flushes pending responses (bounded grace), closes
-  /// every connection, joins the poll and executor threads.  Idempotent.
+  /// Stops accepting and ends every connection: reads are shut down at
+  /// once, a connection still sending after a bounded grace has its
+  /// socket shut down too, and a connection blocked in `wait` ends when
+  /// its ticket completes.  Joins every thread.  Idempotent.
   void stop();
 
   [[nodiscard]] TransportStats stats() const;
@@ -104,58 +108,57 @@ class SocketTransport {
 
  private:
   struct Conn {
-    int fd = -1;
+    int fd = -1;  ///< closed and reset by its own thread on exit
     std::uint64_t id = 0;
     std::unique_ptr<Session> session;
-
-    std::mutex m;  ///< guards everything below (lock AFTER conns_mutex_)
-    std::string inbuf;
-    std::deque<std::string> pending;  ///< parsed lines awaiting execution
-    std::string outbuf;
-    bool executing = false;  ///< an executor owns this conn right now
-    bool eof = false;        ///< peer closed / read error; stop reading
-    bool close_after_flush = false;
+    std::thread thread;
+    bool done = false;  ///< the thread has finished; join and erase it
   };
 
-  void poll_loop();
-  void executor_loop();
-  void handle_accept();
-  void handle_read(const std::shared_ptr<Conn>& conn);
-  void handle_write(const std::shared_ptr<Conn>& conn);
-  /// Queues the conn for execution if it has work and no executor.
-  void maybe_schedule(const std::shared_ptr<Conn>& conn);
+  void accept_loop();
+  /// The connection thread: read, split, execute, send — until EOF,
+  /// a session-ending line, a socket error, or `stop()`.
+  void serve(Conn& conn);
+  /// Executes one line and sends its response; false ends the connection.
+  bool execute(Conn& conn, std::string_view line);
+  /// Joins and erases finished connections.  Caller holds conns_mutex_.
+  void reap();
   /// `client ...` lines + the final `transport ...` summary appended to
   /// every `stats` response served over this transport.
   [[nodiscard]] std::vector<std::string> stats_lines() const;
-  void wake();
 
   SessionContext& context_;
   TransportOptions options_;
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
   std::uint16_t port_ = 0;
 
+  struct Metrics {
+    obs::Counter* accepted = nullptr;
+    obs::Counter* lines = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Gauge* open_connections = nullptr;
+    obs::Histogram* line_ms = nullptr;
+  };
+  Metrics metrics_;
+
   mutable std::mutex conns_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;
+  std::condition_variable conns_cv_;  ///< signalled as connections end
+  std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  std::size_t live_ = 0;  ///< connections whose thread is still running
   std::uint64_t next_conn_id_ = 1;
   TransportStats stats_;
   /// Accounting of already-closed connections folded into client_stats.
   std::vector<TransportClientStats> closed_clients_;
 
-  std::mutex work_mutex_;
-  std::condition_variable work_cv_;
-  std::deque<std::shared_ptr<Conn>> work_;
-  bool stop_executors_ = false;
-
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
-  bool stopping_ = false;
+  /// Read lock-free by connection threads between lines; written under
+  /// state_mutex_ so `wait_shutdown` sees it.
+  std::atomic<bool> stopping_{false};
   bool shutdown_requested_ = false;
   bool stopped_ = false;
 
-  std::thread poll_thread_;
-  std::vector<std::thread> executors_;
+  std::thread accept_thread_;
 };
 
 /// Minimal blocking line-protocol client for benches and tests: connects

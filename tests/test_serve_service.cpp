@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "gate_solver.hpp"
 #include "graph/generators.hpp"
 #include "serve/service.hpp"
 
@@ -21,8 +22,8 @@ namespace {
 
 namespace gen = graph::gen;
 
-/// A registered test solver that sleeps: lets tests hold a worker busy for
-/// a deterministic window (to fill queues, test priorities and deadlines).
+/// A registered test solver that sleeps: gives queued work a duration.
+/// Tests that must hold a worker until a condition holds use `SolveGate`.
 class SleepSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override { return "test-sleep"; }
@@ -174,16 +175,15 @@ TEST(Service, RejectsBadRequestsWithReasons) {
 }
 
 TEST(Service, BoundedQueueRejectsWithBackpressure) {
-  // One worker, queue depth 2: a sleeping request holds the worker, the
+  // One worker, queue depth 2: a gated request holds the worker, the
   // next two fill the queue, the fourth must bounce.
   MatchingService svc({.workers = 1, .queue_depth = 2});
   const auto handle =
       svc.add_instance("g", gen::complete_bipartite(8, 8)).handle;
-  const Submission blocker =
-      svc.submit(request(handle, "test-sleep:ms=300"));
+  SolveGate gate;
+  const Submission blocker = svc.submit(request(handle, "test-gate"));
   ASSERT_TRUE(blocker.accepted);
-  // The blocker may still be queued or already running; either way two
-  // more fit at most.
+  gate.await_blocked();
   std::size_t rejected = 0;
   std::vector<Submission> rest;
   for (int i = 0; i < 4; ++i) {
@@ -198,6 +198,7 @@ TEST(Service, BoundedQueueRejectsWithBackpressure) {
   }
   EXPECT_GE(rejected, 1u);
   EXPECT_EQ(svc.stats().rejected, rejected);
+  gate.open();
   for (const Submission& sub : rest) EXPECT_TRUE(sub.future.get().ok);
   (void)blocker.future.get();
 }
@@ -206,15 +207,18 @@ TEST(Service, HigherPriorityJumpsTheQueue) {
   MatchingService svc({.workers = 1});
   const auto handle =
       svc.add_instance("g", gen::complete_bipartite(8, 8)).handle;
-  // Hold the single worker so the next submissions pile up in the queue.
-  const Submission blocker =
-      svc.submit(request(handle, "test-sleep:ms=150"));
+  // Hold the single worker — running alone, not coalesced with what
+  // follows — so the next submissions pile up in the queue.
+  SolveGate gate;
+  const Submission blocker = svc.submit(request(handle, "test-gate"));
   ASSERT_TRUE(blocker.accepted);
+  gate.await_blocked();
   const Submission low = svc.submit(request(handle, "hk", /*priority=*/0));
   const Submission high =
       svc.submit(request(handle, "pf", /*priority=*/10));
   ASSERT_TRUE(low.accepted);
   ASSERT_TRUE(high.accepted);
+  gate.open();
   // The worker serves the high-priority request first, so by the time the
   // low one completes, the high one must already be done.
   (void)low.future.get();
@@ -226,12 +230,16 @@ TEST(Service, DeadlineExpiresWhileQueued) {
   MatchingService svc({.workers = 1});
   const auto handle =
       svc.add_instance("g", gen::complete_bipartite(8, 8)).handle;
-  const Submission blocker =
-      svc.submit(request(handle, "test-sleep:ms=100"));
+  SolveGate gate;
+  const Submission blocker = svc.submit(request(handle, "test-gate"));
   ASSERT_TRUE(blocker.accepted);
+  gate.await_blocked();
   const Submission doomed =
       svc.submit(request(handle, "hk", 0, /*deadline_ms=*/1.0));
   ASSERT_TRUE(doomed.accepted);
+  // Queued behind the gate until well past its deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate.open();
   const Response r = doomed.future.get();
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("deadline expired"), std::string::npos) << r.error;

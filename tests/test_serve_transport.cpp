@@ -4,17 +4,26 @@
 // client correctness, per-connection quota and auth enforcement, the
 // per-connection line budget (terminated and unterminated oversized
 // input), the malformed-input never-crash guarantee over the wire, the
-// `stats` per-client accounting lines, and clean shutdown — both by a
-// client's `shutdown` command and by stop() mid-connection.
+// `stats` per-client accounting lines, clean shutdown — both by a
+// client's `shutdown` command and by stop() mid-connection — no
+// head-of-line blocking behind another client's `wait`, a bounded stop()
+// against a client that never reads, and connection churn.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "gate_solver.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
 #include "serve/transport.hpp"
@@ -313,6 +322,121 @@ TEST(ServeTransport, PipelinedCommandsAnswerInOrder) {
   line = client.recv_line();
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(*line, "drained");
+}
+
+TEST(ServeTransport, BlockedWaitDoesNotDelayOtherClients) {
+  TransportOptions topt;
+  topt.executors = 1;  // a shared executor pool's smallest size
+  Server server(topt);
+  SolveGate gate;  // opens before the server tears down
+  LineClient a = server.client();
+  a.send_line("gen a planted 20 0.0 1");
+  ASSERT_TRUE(a.recv_line().has_value());
+  a.send_line("submit a test-gate");
+  const auto ticket = a.recv_line();
+  ASSERT_TRUE(ticket && ticket->starts_with("ticket ")) << ticket.value_or("");
+  gate.await_blocked();
+  a.send_line("wait " + ticket->substr(7));
+  // Give the server time to start A's blocking `wait`.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  LineClient b = server.client();
+  b.send_line("stats");
+  EXPECT_TRUE(b.recv_until("transport ", 3000).has_value())
+      << "B's stats waited behind A's blocked wait";
+
+  gate.open();
+  const auto result = a.recv_line();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->starts_with("result ticket=")) << *result;
+}
+
+TEST(ServeTransport, StopIsBoundedWhenAClientNeverReads) {
+  Server server;
+  // A raw socket with a tiny receive window that never reads: the server
+  // ends up blocked sending the responses to its burst of `stats` lines.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const timeval send_timeout{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.transport.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string burst;
+  while (burst.size() < 64 * 1024) burst += "stats\n";
+  std::size_t sent = 0;
+  while (sent < burst.size()) {
+    const ssize_t n = ::send(fd, burst.data() + sent, burst.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(sent, burst.size());
+  // Wait (bounded) for the server to stall: its line count stops moving.
+  std::uint64_t lines = 0;
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint64_t now = server.transport.stats().lines;
+    if (now > 0 && now == lines) break;
+    lines = now;
+  }
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.transport.stop();
+  const auto took = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(took)
+                .count(),
+            3000);
+  ::close(fd);
+}
+
+TEST(ServeTransport, ConnectionChurnLeavesNothingOpen) {
+  // 96 cycles + 3 admitted at the cap + 1 refused = 100 connections.
+  constexpr std::uint64_t kCycles = 96;
+  TransportOptions topt;
+  topt.max_clients = 3;
+  Server server(topt);
+  for (std::uint64_t i = 0; i < kCycles; ++i) {
+    LineClient client = server.client();
+    client.send_line("drain");
+    const auto line = client.recv_line();
+    ASSERT_TRUE(line.has_value());
+    ASSERT_EQ(*line, "drained");
+  }
+  // Closing is asynchronous: the server notices each EOF on its own.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.transport.stats().closed < kCycles &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  TransportStats stats = server.transport.stats();
+  EXPECT_EQ(stats.accepted, kCycles);
+  EXPECT_EQ(stats.closed, kCycles);
+  EXPECT_EQ(stats.open, 0u);
+
+  // Closed connections never count against the cap.
+  std::vector<std::unique_ptr<LineClient>> admitted;
+  for (std::size_t i = 0; i < topt.max_clients; ++i) {
+    admitted.push_back(
+        std::make_unique<LineClient>("127.0.0.1", server.transport.port()));
+    admitted.back()->send_line("drain");
+    const auto line = admitted.back()->recv_line();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line, "drained");
+  }
+  LineClient over = server.client();
+  const auto refusal = over.recv_line();
+  ASSERT_TRUE(refusal.has_value());
+  EXPECT_TRUE(refusal->starts_with("error code=unavailable")) << *refusal;
+  stats = server.transport.stats();
+  EXPECT_EQ(stats.open, topt.max_clients);
+  EXPECT_EQ(stats.refused, 1u);
 }
 
 }  // namespace
